@@ -35,6 +35,7 @@ from .engine import (
 )
 from .errors import (
     GridError,
+    InvalidOptionError,
     InvalidOrderError,
     ParseError,
     PrecisionInsufficientError,

@@ -33,7 +33,10 @@ __all__ = [
     "export_figure_data",
     "format_scientific",
     "fraction_str",
+    "MAX_SIG_DIGITS",
 ]
+
+MAX_SIG_DIGITS = 6
 
 
 def _as_fractions(values):
@@ -248,8 +251,8 @@ def fraction_str(value: Fraction) -> str:
 def format_scientific(value, sig_digits: int = 5) -> str:
     """Normalized scientific notation, mantissa in [1, 10): '1.95343E-20'.
     Zero renders as '0'."""
-    if not 1 <= sig_digits <= 6:
-        raise ValueError("significant digits must be between 1 and 6")
+    if not 1 <= sig_digits <= MAX_SIG_DIGITS:
+        raise ValueError(f"significant digits must be between 1 and {MAX_SIG_DIGITS}")
     if value == 0:
         return "0"
     raw = mpmath.nstr(mpmath.mpf(value), sig_digits + 8, strip_zeros=False)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .analysis import (
+    MAX_SIG_DIGITS,
     Grid2D,
     GridAxis,
     absolute_error_grid,
@@ -31,7 +32,7 @@ from .analysis import (
     taylor_coefficient,
 )
 from .engine import solve_series
-from .errors import GridError, RdtmError
+from .errors import GridError, InvalidOptionError, RdtmError
 from .models import (
     DEFAULT_FIGURE,
     DEFAULT_TABLE_GRID,
@@ -39,7 +40,7 @@ from .models import (
     ModelId,
     builtin_model,
 )
-from .precision import PrecisionContext
+from .precision import MIN_DECIMAL_DIGITS, PrecisionContext
 from .specfile import parse_spec_file
 
 DEFAULT_SOLVE_ORDER = 10
@@ -134,7 +135,7 @@ def _emit(text: str, out_path):
 
 def _cmd_solve(args) -> int:
     spec, _ = _load_problem(args.problem)
-    order = args.order or DEFAULT_SOLVE_ORDER
+    order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     sol = solve_series(spec, order)
     series = sol.to_expr()
     if args.format == "json":
@@ -166,7 +167,7 @@ def _cmd_table(args) -> int:
     spec, model = _load_problem(args.problem)
     if spec.exact is None:
         raise RdtmError("table requires an exact solution ('exact:' field)")
-    order = args.order or DEFAULT_TABLE_ORDER.get(model, DEFAULT_SOLVE_ORDER)
+    order = DEFAULT_TABLE_ORDER.get(model, DEFAULT_SOLVE_ORDER) if args.order is None else args.order
     if args.grid:
         grid = _parse_grid(args.grid)
     elif model is not None:
@@ -205,14 +206,14 @@ def _cmd_figure(args) -> int:
     order = args.order
     if model is not None and not (args.slice or args.sweep):
         slice_bindings, sweeps, default_order = DEFAULT_FIGURE[model]
-        order = order or default_order
+        order = default_order if order is None else order
     if args.slice:
         slice_bindings = _parse_bindings(args.slice)
     if args.sweep:
         sweeps = [_parse_sweep(s) for s in args.sweep]
     if not sweeps:
         raise GridError("no sweep given (use --sweep var=start:stop:step)")
-    order = order or DEFAULT_SOLVE_ORDER
+    order = DEFAULT_SOLVE_ORDER if order is None else order
     ctx = PrecisionContext(args.precision)
     sol = solve_series(spec, order)
     data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
@@ -269,7 +270,7 @@ def _check_report(spec, order, ctx):
 
 def _cmd_check(args) -> int:
     spec, _ = _load_problem(args.problem)
-    order = args.order or DEFAULT_SOLVE_ORDER
+    order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     ctx = PrecisionContext(args.precision)
     lines, ok = _check_report(spec, order, ctx)
     _emit("\n".join(lines) + "\n", args.out)
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("text", "plain", "latex", "csv", "json"),
             help="output format",
         )
-        p.add_argument("--sig-digits", type=int, default=5, help="significant digits in numeric output (1-6)")
+        p.add_argument("--sig-digits", type=int, default=5, help=f"significant digits in numeric output (1-{MAX_SIG_DIGITS})")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p_solve = sub.add_parser("solve", help="print the spectra and the truncated series")
@@ -363,9 +364,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args):
+    """Reject out-of-range numeric options before any work starts."""
+    if not 1 <= args.sig_digits <= MAX_SIG_DIGITS:
+        raise InvalidOptionError(f"--sig-digits must be between 1 and {MAX_SIG_DIGITS}, got {args.sig_digits}")
+    if args.precision < MIN_DECIMAL_DIGITS:
+        raise InvalidOptionError(f"--precision must be at least {MIN_DECIMAL_DIGITS} digits, got {args.precision}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except (RdtmError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

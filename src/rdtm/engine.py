@@ -9,6 +9,13 @@ derivative-order factors to be convolved.  Stepping the recurrence turns the
 left-hand side's second time derivative into the factorial factor
 (k+1)(k+2) on the next spectrum.
 
+Every term is a Cauchy product of derivative images of the spectra, and the
+recurrence is an online power-series computation: step k needs only the
+newest coefficient of every product.  A solve therefore keeps one
+RecurrenceState whose memos (derivative images, and the product sequences of
+shared sorted factor prefixes) each step extends by one entry, so K spectra
+cost O(K^2) expression convolutions per factor rather than O(K^3).
+
 Everything is exact: spectra are expressions with rational coefficients, so
 two runs produce structurally identical output and the order in which a
 step's additive terms are summed cannot change the result.
@@ -33,6 +40,7 @@ __all__ = [
     "RecurrenceTerm",
     "SpectralRecurrence",
     "SeriesSolution",
+    "RecurrenceState",
     "compile_recurrence",
     "initial_spectra",
     "cauchy_product",
@@ -228,6 +236,10 @@ def cauchy_product(sequences, k: int) -> ex.Expr:
     prod(sequences[i][r_i]); computed as a left fold of pairwise
     convolutions over memoized partial products, O(m k^2) expression
     convolutions instead of the O(k^(m-1)) nested-loop form.
+
+    This is the reference fold and is not on the solve path: RecurrenceState
+    computes every product coefficient online by the same pairwise formula,
+    and the tests check the two against each other.
     """
     if not sequences:
         raise ValueError("at least one sequence is required")
@@ -248,71 +260,94 @@ def cauchy_product(sequences, k: int) -> ex.Expr:
     return partial[k]
 
 
-def evaluate_term(term: RecurrenceTerm, spectra, k: int) -> ex.Expr:
-    """Contribution of one recurrence term at index k, given spectra 0..k."""
-    j = k - term.time_shift
-    if j < 0:
-        return ex.ZERO
-    if term.factors == (SOURCE,):
-        return ex.expand(term.coefficient) if j == 0 else ex.ZERO
-    sequences = [
-        [_apply_orders(spectra[i], orders) for i in range(j + 1)] for orders in term.factors
-    ]
-    convolution = cauchy_product(sequences, j)
-    return ex.mul_expanded(ex.expand(term.coefficient), convolution)
-
-
 def _apply_orders(e, orders):
     for var, order in orders:
         e = ex.differentiate(e, var, order)
     return ex.expand(e)
 
 
-def advance_step(rec: SpectralRecurrence, spectra, k: int) -> ex.Expr:
-    """Next spectrum V_{k+2} from spectra complete through index k+1.
+class RecurrenceState:
+    """The spectra of one solve so far, with the memos that make it online.
 
-    (k+1)(k+2) V_{k+2} equals the sum of the compiled terms at index k; a
-    term whose shift pushes the index negative contributes zero.  The result
-    is simplified so that cancellations happen at every step.
+    ``images[orders]`` holds the derivative images of V_0, V_1, ... under one
+    order map.  ``products[prefix]`` holds the coefficients 0, 1, ... of the
+    Cauchy product of the images of a sorted factor prefix (two or more
+    factors); entry j of (f_1..f_m) convolves the prefix (f_1..f_{m-1}) with
+    the images of f_m.  Terms share prefixes, e.g. u*u_x inside u*u_x*u_xx,
+    and a step reads only the newest coefficient of each product, so each
+    step extends every sequence by one entry.
     """
-    if len(spectra) < k + 2:
-        raise InvalidOrderError(f"need spectra through index {k + 1} to advance")
-    images = {}
 
-    def image_sequence(orders, upto):
-        seq = images.setdefault(orders, [])
+    def __init__(self, rec: SpectralRecurrence, spectra):
+        self.rec = rec
+        self.spectra = list(spectra)
+        self.images = {}
+        self.products = {}
+
+    def _images(self, orders, upto):
+        seq = self.images.setdefault(orders, [])
         for i in range(len(seq), upto + 1):
-            seq.append(_apply_orders(spectra[i], orders))
-        return seq[: upto + 1]
+            seq.append(_apply_orders(self.spectra[i], orders))
+        return seq
 
-    contributions = []
-    for term in rec.terms:
+    def _products(self, factors, upto):
+        if len(factors) == 1:
+            return self._images(factors[0], upto)
+        seq = self.products.setdefault(factors, [])
+        if len(seq) <= upto:
+            head = self._products(factors[:-1], upto)
+            last = self._images(factors[-1], upto)
+            for j in range(len(seq), upto + 1):
+                seq.append(
+                    ex.simplify(ex.Sum(tuple(ex.mul_expanded(head[r], last[j - r]) for r in range(j + 1))))
+                )
+        return seq
+
+    def contribution(self, term: RecurrenceTerm, k: int) -> ex.Expr:
+        """Value of one recurrence term at index k."""
         j = k - term.time_shift
         if j < 0:
-            continue
+            return ex.ZERO
         if term.factors == (SOURCE,):
-            if j == 0:
-                contributions.append(ex.expand(term.coefficient))
-            continue
-        sequences = [image_sequence(orders, j) for orders in term.factors]
-        convolution = cauchy_product(sequences, j)
+            return ex.expand(term.coefficient) if j == 0 else ex.ZERO
+        convolution = self._products(term.factors, j)[j]
         if convolution == ex.ZERO:
-            continue
-        contributions.append(ex.mul_expanded(ex.expand(term.coefficient), convolution))
-    total = ex.simplify(ex.Sum(tuple(contributions)))
-    return ex.mul_expanded(total, ex.rational(1, (k + 1) * (k + 2)))
+            return ex.ZERO
+        return ex.mul_expanded(ex.expand(term.coefficient), convolution)
+
+    def step(self) -> ex.Expr:
+        """Append and return V_{k+2}, where the spectra run through index k+1.
+
+        (k+1)(k+2) V_{k+2} equals the sum of the compiled terms at index k;
+        the sum is simplified so that cancellations happen at every step.
+        """
+        k = len(self.spectra) - 2
+        total = ex.simplify(ex.Sum(tuple(self.contribution(t, k) for t in self.rec.terms)))
+        spectrum = ex.mul_expanded(total, ex.rational(1, (k + 1) * (k + 2)))
+        self.spectra.append(spectrum)
+        return spectrum
+
+
+def evaluate_term(term: RecurrenceTerm, spectra, k: int) -> ex.Expr:
+    """Contribution of one recurrence term at index k, given spectra 0..k."""
+    return RecurrenceState(SpectralRecurrence((term,), ()), spectra).contribution(term, k)
+
+
+def advance_step(rec: SpectralRecurrence, spectra, k: int) -> ex.Expr:
+    """Next spectrum V_{k+2} from spectra complete through index k+1."""
+    if len(spectra) < k + 2:
+        raise InvalidOrderError(f"need spectra through index {k + 1} to advance")
+    return RecurrenceState(rec, spectra[: k + 2]).step()
 
 
 def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
     """Run the recurrence to produce spectra V_0..V_{order-1}."""
     if not isinstance(order, int) or order < 2:
         raise InvalidOrderError(f"truncation order must be an integer >= 2, got {order!r}")
-    rec = compile_recurrence(spec)
-    v0, v1 = initial_spectra(spec)
-    spectra = [v0, v1]
-    for k in range(order - 2):
-        spectra.append(advance_step(rec, spectra, k))
-    return SeriesSolution(spec, tuple(spectra), order)
+    state = RecurrenceState(compile_recurrence(spec), initial_spectra(spec))
+    for _ in range(order - 2):
+        state.step()
+    return SeriesSolution(spec, tuple(state.spectra), order)
 
 
 def substitute_derivatives(e, source) -> ex.Expr:

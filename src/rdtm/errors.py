@@ -44,6 +44,10 @@ class InvalidOrderError(RdtmError):
     """Requested truncation order is too small (at least two spectra are needed)."""
 
 
+class InvalidOptionError(RdtmError):
+    """A command-line option value outside its accepted range."""
+
+
 class PrecisionInsufficientError(RdtmError):
     """A computed value is too small to carry significant digits at the working precision."""
 

@@ -16,9 +16,17 @@ import mpmath
 from . import expr as ex
 from .errors import UnboundVariableError, UnsupportedExpressionError
 
-__all__ = ["PrecisionContext", "eval_precise", "eval_number", "fraction_to_mpf", "GUARD_DIGITS"]
+__all__ = [
+    "PrecisionContext",
+    "eval_precise",
+    "eval_number",
+    "fraction_to_mpf",
+    "GUARD_DIGITS",
+    "MIN_DECIMAL_DIGITS",
+]
 
 GUARD_DIGITS = 10
+MIN_DECIMAL_DIGITS = 15
 
 _ATOM_FUNCTIONS = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos}
 
@@ -34,8 +42,10 @@ class PrecisionContext:
     decimal_digits: int = 50
 
     def __post_init__(self):
-        if not isinstance(self.decimal_digits, int) or self.decimal_digits < 15:
-            raise ValueError("working precision must be an integer >= 15 decimal digits")
+        if not isinstance(self.decimal_digits, int) or self.decimal_digits < MIN_DECIMAL_DIGITS:
+            raise ValueError(
+                f"working precision must be an integer >= {MIN_DECIMAL_DIGITS} decimal digits"
+            )
 
     @property
     def working_dps(self) -> int:

@@ -139,3 +139,22 @@ def test_demo_summary(capsys):
     code, out, err = run(capsys, "demo")
     assert code == 0, err
     assert "reproduction summary: all checks passed" in out
+
+
+def test_order_zero_is_not_replaced_by_the_default(capsys):
+    for command in ("solve", "table", "figure", "check"):
+        code, out, err = run(capsys, command, "ex3", "--order", "0")
+        assert code == 1 and out == "", command
+        assert err.startswith("error:") and "order" in err, command
+
+
+def test_sig_digits_out_of_range_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "table", "ex3", "--sig-digits", "9")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--sig-digits" in err
+
+
+def test_precision_below_floor_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "table", "ex3", "--precision", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--precision" in err

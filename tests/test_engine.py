@@ -1,10 +1,16 @@
 """Recurrence compilation, convolution, stepping and the series solver."""
 
+import random
+from pathlib import Path
+
 import pytest
+
+import rdtm.expr
 
 from rdtm.engine import (
     SOURCE,
     PdeSpec,
+    RecurrenceState,
     SeriesSolution,
     advance_step,
     cauchy_product,
@@ -19,9 +25,24 @@ from rdtm.errors import (
     UnsupportedCoefficientError,
     UnsupportedStructureError,
 )
-from rdtm.expr import ZERO, Atom, Power, Product, Var, expand, rational, simplify, to_text
-from rdtm.models import ModelId
+from rdtm.expr import (
+    ZERO,
+    Atom,
+    DerivSym,
+    Power,
+    Product,
+    Sum,
+    Var,
+    differentiate,
+    expand,
+    mul_expanded,
+    rational,
+    simplify,
+    to_text,
+)
+from rdtm.models import ModelId, builtin_model
 from rdtm.parsing import parse_expr
+from rdtm.specfile import parse_spec_file
 
 from oracles import nested_convolution
 
@@ -237,3 +258,99 @@ class TestPdeSpecValidation:
     def test_reserved_names_rejected(self):
         with pytest.raises(UnsupportedStructureError):
             PdeSpec("bad", ("sin",), ZERO, ZERO, ZERO)
+
+
+def reference_step(rec, spectra, k):
+    """V_{k+2} from the reference fold: every term convolves freshly computed
+    image sequences with cauchy_product, with no state kept between terms."""
+    parts = []
+    for term in rec.terms:
+        j = k - term.time_shift
+        if j < 0:
+            continue
+        if term.factors == (SOURCE,):
+            if j == 0:
+                parts.append(expand(term.coefficient))
+            continue
+        sequences = []
+        for orders in term.factors:
+            images = []
+            for v in spectra[: j + 1]:
+                for var, order in orders:
+                    v = differentiate(v, var, order)
+                images.append(expand(v))
+            sequences.append(images)
+        parts.append(mul_expanded(expand(term.coefficient), cauchy_product(sequences, j)))
+    return mul_expanded(simplify(Sum(tuple(parts))), rational(1, (k + 1) * (k + 2)))
+
+
+def assert_matches_reference(spec, order):
+    rec = compile_recurrence(spec)
+    spectra = solve_series(spec, order).spectra
+    for k in range(order - 2):
+        assert spectra[k + 2] == reference_step(rec, spectra[: k + 2], k), (spec.name, k + 2)
+
+
+GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "growing.pde"
+
+
+def _random_spec(rng, index):
+    """u_tt = sum of 1-3 terms c * x^a * t^n * (2 or 3 derivative factors)."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rational(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                   Power(x, rng.randint(0, 2)), Power(Var("t"), rng.randint(0, 2))]
+        for _ in range(rng.randint(2, 3)):
+            factors.append(DerivSym(rng.choice(((), (("x", 1),), (("x", 2),), (("x", 3),)))))
+        terms.append(Product(tuple(factors)))
+    init = [
+        simplify(Sum(tuple(Product((rational(rng.randint(-3, 3)), Power(x, d))) for d in range(5))))
+        for _ in range(2)
+    ]
+    return PdeSpec(f"random-{index}", ("x",), Sum(tuple(terms)), init[0], init[1])
+
+
+class TestRecurrenceState:
+    @pytest.mark.parametrize("model,order", [(ModelId.EX1, 7), (ModelId.EX2, 8), (ModelId.EX3, 10)])
+    def test_builtin_spectra_match_reference_fold(self, model, order):
+        assert_matches_reference(builtin_model(model), order)
+
+    def test_growing_spectra_match_reference_fold(self):
+        assert_matches_reference(parse_spec_file(GROWING_PDE.read_text()), 7)
+
+    def test_random_recurrences_match_reference_fold(self):
+        rng = random.Random(20613)
+        for index in range(25):
+            assert_matches_reference(_random_spec(rng, index), 6)
+
+    def test_step_extends_every_memo_by_one_entry(self, solved):
+        spec, _ = solved(ModelId.EX2, 2)
+        state = RecurrenceState(compile_recurrence(spec), initial_spectra(spec))
+        for k in range(4):
+            state.step()
+            assert len(state.spectra) == k + 3
+            assert {len(seq) for seq in state.images.values()} == {k + 1}
+            assert {len(seq) for seq in state.products.values()} == {k + 1}
+        # the quintic terms share sorted prefixes, e.g. (u, u) starts five of them
+        unshared = sum(len(term.factors) - 1 for term in state.rec.terms)
+        assert ((), ()) in state.products and len(state.products) < unshared
+
+    def test_solve_cost_grows_quadratically(self, monkeypatch, solved):
+        """ex2 spectra are single terms, so kernel calls count convolution
+        terms: O(K^2) per solve gives a ratio near 4 from order 10 to 20,
+        the per-step recompute O(K^3) near 8."""
+        spec, _ = solved(ModelId.EX2, 2)
+        calls = [0]
+        original = rdtm.expr.mul_expanded
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(rdtm.expr, "mul_expanded", counting)
+        counts = []
+        for order in (10, 20):
+            calls[0] = 0
+            solve_series(spec, order)
+            counts.append(calls[0])
+        assert counts[1] < 6 * counts[0], counts
