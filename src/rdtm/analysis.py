@@ -39,6 +39,16 @@ __all__ = [
 MAX_SIG_DIGITS = 6
 
 
+def rational_range(start, stop, step) -> tuple:
+    """Exact rationals start, start + step, ... through stop (none if stop < start)."""
+    value, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    values = []
+    while value <= stop:
+        values.append(value)
+        value += step
+    return tuple(values)
+
+
 def _as_fractions(values):
     out = []
     for v in values:
@@ -187,9 +197,7 @@ def residual_order_check(
     """
     series = sol.to_expr()
     u_tt = ex.differentiate(series, TIME_VAR, 2)
-    residual = ex.expand(
-        ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
-    )
+    residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
     coefficients = ex.collect_powers(residual, TIME_VAR)
     threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
     with mpmath.workdps(ctx.working_dps):
@@ -343,15 +351,7 @@ def export_figure_data(
     if needed - bound:
         raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
 
-    def sweep_values(start, stop, step):
-        out = []
-        v = start
-        while v <= stop:
-            out.append(v)
-            v += step
-        return out
-
-    grids = [sweep_values(start, stop, step) for _, start, stop, step in sweep_specs]
+    grids = [rational_range(start, stop, step) for _, start, stop, step in sweep_specs]
     points = [()]
     for axis in grids:
         points = [prefix + (v,) for prefix in points for v in axis]

@@ -27,12 +27,13 @@ from .analysis import (
     export_figure_data,
     format_scientific,
     fraction_str,
+    rational_range,
     render_table,
     residual_order_check,
     taylor_coefficient,
 )
 from .engine import solve_series
-from .errors import GridError, InvalidOptionError, RdtmError
+from .errors import GridError, InvalidOptionError, ParseError, RdtmError
 from .models import (
     DEFAULT_FIGURE,
     DEFAULT_TABLE_GRID,
@@ -55,7 +56,11 @@ def _load_problem(source):
     if model is not None:
         return builtin_model(model), model
     with open(source, "r", encoding="utf-8") as handle:
-        return parse_spec_file(handle.read()), None
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{source}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return parse_spec_file(text), None
 
 
 def _fraction(text: str) -> Fraction:
@@ -72,12 +77,7 @@ def _axis_values(spec: str):
     start, stop, step = (_fraction(p) for p in parts)
     if step <= 0:
         raise GridError("step must be positive")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    return rational_range(start, stop, step)
 
 
 def _parse_grid(text: str) -> Grid2D:

@@ -142,11 +142,9 @@ class SeriesSolution:
     def to_expr(self) -> ex.Expr:
         """Truncated series sum(V_k * t^k) as a canonical expanded expression."""
         t = ex.Var(TIME_VAR)
-        parts = [
-            ex.mul_expanded(ex.expand(v), ex.simplify(ex.Power(t, k)))
-            for k, v in enumerate(self.spectra)
-        ]
-        return ex.simplify(ex.Sum(tuple(parts)))
+        return ex.add_expanded(
+            ex.mul_expanded(ex.expand(v), ex.simplify(ex.Power(t, k))) for k, v in enumerate(self.spectra)
+        )
 
 
 def _monomials(e):
@@ -226,7 +224,7 @@ def compile_recurrence(spec: PdeSpec) -> SpectralRecurrence:
 def initial_spectra(spec: PdeSpec):
     """V_0 and V_1 are the two initial conditions (the transform of the
     initial data; the 1/k! factors are 1 for k <= 1)."""
-    return ex.simplify(spec.init_u), ex.simplify(spec.init_ut)
+    return spec.init_u, spec.init_ut
 
 
 def cauchy_product(sequences, k: int) -> ex.Expr:
@@ -298,9 +296,7 @@ class RecurrenceState:
             head = self._products(factors[:-1], upto)
             last = self._images(factors[-1], upto)
             for j in range(len(seq), upto + 1):
-                seq.append(
-                    ex.simplify(ex.Sum(tuple(ex.mul_expanded(head[r], last[j - r]) for r in range(j + 1))))
-                )
+                seq.append(ex.add_expanded(ex.mul_expanded(head[r], last[j - r]) for r in range(j + 1)))
         return seq
 
     def contribution(self, term: RecurrenceTerm, k: int) -> ex.Expr:
@@ -310,19 +306,16 @@ class RecurrenceState:
             return ex.ZERO
         if term.factors == (SOURCE,):
             return ex.expand(term.coefficient) if j == 0 else ex.ZERO
-        convolution = self._products(term.factors, j)[j]
-        if convolution == ex.ZERO:
-            return ex.ZERO
-        return ex.mul_expanded(ex.expand(term.coefficient), convolution)
+        return ex.mul_expanded(ex.expand(term.coefficient), self._products(term.factors, j)[j])
 
     def step(self) -> ex.Expr:
         """Append and return V_{k+2}, where the spectra run through index k+1.
 
         (k+1)(k+2) V_{k+2} equals the sum of the compiled terms at index k;
-        the sum is simplified so that cancellations happen at every step.
+        the sum is merged so that cancellations happen at every step.
         """
         k = len(self.spectra) - 2
-        total = ex.simplify(ex.Sum(tuple(self.contribution(t, k) for t in self.rec.terms)))
+        total = ex.add_expanded(self.contribution(t, k) for t in self.rec.terms)
         spectrum = ex.mul_expanded(total, ex.rational(1, (k + 1) * (k + 2)))
         self.spectra.append(spectrum)
         return spectrum

@@ -13,6 +13,13 @@ canonical form (flattened, merged, totally ordered) in which equal
 rearrangements of the same terms become structurally identical; ``expand``
 additionally distributes products over sums, yielding a canonical
 sum-of-monomials form in which cancellation is complete.
+
+Canonical form is decided here.  Every kernel function returns a canonical
+tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
+tree comes in: the parser, ``PdeSpec`` and the public entry points
+(``simplify``, ``expand``, ``differentiate``, ``substitute``,
+``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
+``add_expanded`` and ``precision.eval_number`` require canonical input.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "simplify",
     "expand",
     "mul_expanded",
+    "add_expanded",
     "differentiate",
     "substitute",
     "addends",
@@ -415,6 +423,11 @@ def mul_expanded(a, b) -> Expr:
     if b == ONE:
         return a
     return _canon_sum([_canon_product([ta, tb]) for ta in addends(a) for tb in addends(b)])
+
+
+def add_expanded(parts) -> Expr:
+    """Sum of canonical expanded expressions, expanded and merged."""
+    return _canon_sum(list(parts))
 
 
 def _pow_expanded(base, exponent) -> Expr:

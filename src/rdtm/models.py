@@ -11,6 +11,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import expr as ex
+from .analysis import rational_range
 from .engine import PdeSpec
 from .parsing import parse_expr
 
@@ -99,22 +100,14 @@ def exact_solution(model: ModelId) -> ex.Expr:
 DEFAULT_TABLE_ORDER = {ModelId.EX1: 8, ModelId.EX2: 16, ModelId.EX3: 20}
 
 
-def _axis(start, stop, step):
-    values = []
-    v = Fraction(start)
-    stop = Fraction(stop)
-    step = Fraction(step)
-    while v <= stop:
-        values.append(v)
-        v += step
-    return tuple(values)
-
+_TENTHS = rational_range("1/10", 1, "1/10")
+_FIFTHS = rational_range("1/5", 1, "1/5")
 
 # (t values, column values, spatial variables tied to the column value)
 DEFAULT_TABLE_GRID = {
-    ModelId.EX1: (_axis("1/10", 1, "1/10"), _axis("1/10", 1, "1/10"), ("x", "y")),
-    ModelId.EX2: (_axis("1/5", 1, "1/5"), _axis("1/5", 1, "1/5"), ("x",)),
-    ModelId.EX3: (_axis("1/5", 1, "1/5"), _axis("1/5", 1, "1/5"), ("x",)),
+    ModelId.EX1: (_TENTHS, _TENTHS, ("x", "y")),
+    ModelId.EX2: (_FIFTHS, _FIFTHS, ("x",)),
+    ModelId.EX3: (_FIFTHS, _FIFTHS, ("x",)),
 }
 
 # (fixed slice bindings, sweeps as (var, start, stop, step), order)

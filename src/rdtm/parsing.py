@@ -5,7 +5,7 @@ is a fixed point:
 
     expression := term (('+'|'-') term)*
     term       := unary (('*'|'/') unary)*          # '/' by rational constants
-    unary      := ('-'|'+') unary | power
+    unary      := ('-'|'+')* power
     power      := primary ('^' exponent)?
     exponent   := ['-'] INT | '(' ['-'] INT ')'
     primary    := NUMBER | '(' expression ')' | ident-form
@@ -18,6 +18,11 @@ Numbers are exact: integers, fractions via '/', and decimal literals such as
 0.3 (read as 3/10, never as a binary float).  D(...) differentiates its first
 argument immediately, so compact operator forms expand mechanically at parse
 time; D applied to u or its derivatives just raises the derivative order.
+
+An operator chain becomes one n-ary Sum or Product node and a run of signs
+is folded in a loop, so long flat input needs no recursion.  Nesting, by
+parentheses or by the arguments of exp/sin/cos/D, is bounded by
+MAX_NESTING; deeper input is a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ __all__ = ["Token", "tokenize", "parse_expr", "RESERVED_NAMES", "TIME_VAR"]
 
 TIME_VAR = "t"
 RESERVED_NAMES = frozenset({"t", "u", "D", "exp", "sin", "cos"})
+# Deepest accepted nesting of parentheses and function arguments; input at
+# this depth still parses, canonicalizes and solves under Python's default
+# recursion limit of 1000 frames.
+MAX_NESTING = 100
 
 _PUNCT = "+-*/^(),{}:;="
 
@@ -143,23 +152,36 @@ class ExprParser:
 
     def __init__(self, stream: TokenStream, declared_vars):
         self.stream = stream
+        self.depth = 0
         self.declared = tuple(declared_vars)
         for name in self.declared:
             if name in RESERVED_NAMES:
                 raise ValueError(f"variable name {name!r} is reserved")
 
     def parse_expression(self) -> ex.Expr:
-        node = self.parse_term()
+        terms = [self.parse_term()]
         while self.stream.cur.kind in "+-":
             op = self.stream.advance()
             rhs = self.parse_term()
             if op.kind == "-":
                 rhs = ex.Product((ex.rational(-1), rhs))
-            node = ex.Sum((node, rhs))
+            terms.append(rhs)
+        return terms[0] if len(terms) == 1 else ex.Sum(tuple(terms))
+
+    def parse_nested(self, open_tok: Token) -> ex.Expr:
+        """An expression one nesting level below open_tok, the token that
+        opens it: '(' or the name of exp/sin/cos/D."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", open_tok.line, open_tok.col
+            )
+        self.depth += 1
+        node = self.parse_expression()
+        self.depth -= 1
         return node
 
     def parse_term(self) -> ex.Expr:
-        node = self.parse_unary()
+        factors = [self.parse_unary()]
         while self.stream.cur.kind in "*/":
             op = self.stream.advance()
             rhs = self.parse_unary()
@@ -172,15 +194,15 @@ class ExprParser:
                 if divisor.value == 0:
                     raise ParseError("division by zero", op.line, op.col)
                 rhs = ex.Rational(1 / divisor.value)
-            node = ex.Product((node, rhs))
-        return node
+            factors.append(rhs)
+        return factors[0] if len(factors) == 1 else ex.Product(tuple(factors))
 
     def parse_unary(self) -> ex.Expr:
-        if self.stream.accept("-"):
-            return ex.Product((ex.rational(-1), self.parse_unary()))
-        if self.stream.accept("+"):
-            return self.parse_unary()
-        return self.parse_power()
+        negative = False
+        while self.stream.cur.kind in "+-":
+            negative ^= self.stream.advance().kind == "-"
+        node = self.parse_power()
+        return ex.Product((ex.rational(-1), node)) if negative else node
 
     def parse_power(self) -> ex.Expr:
         base = self.parse_primary()
@@ -212,7 +234,7 @@ class ExprParser:
             return ex.Rational(Fraction(tok.text))
         if tok.kind == "(":
             self.stream.advance()
-            node = self.parse_expression()
+            node = self.parse_nested(tok)
             self.stream.expect(")")
             return node
         if tok.kind == "IDENT":
@@ -220,7 +242,7 @@ class ExprParser:
             name = tok.text
             if name in ("exp", "sin", "cos"):
                 self.stream.expect("(", f"'(' after {name}")
-                arg = self.parse_expression()
+                arg = self.parse_nested(tok)
                 self.stream.expect(")")
                 return ex.Atom(name, arg)
             if name == "D":
@@ -236,7 +258,7 @@ class ExprParser:
 
     def parse_derivative(self, d_tok: Token) -> ex.Expr:
         self.stream.expect("(", "'(' after D")
-        inner = self.parse_expression()
+        inner = self.parse_nested(d_tok)
         pairs = []
         while self.stream.accept(","):
             var_tok = self.stream.expect("IDENT", "variable name in D(...)")

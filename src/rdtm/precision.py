@@ -69,12 +69,13 @@ def _coerce_point(point) -> dict:
 
 
 def eval_number(e, point):
-    """Evaluate under the current mpmath precision.
+    """Evaluate a canonical expression, as given, under the current mpmath
+    precision; ``eval_precise`` is the door for raw trees.
 
     Returns an exact Fraction whenever the subtree is atom-free, an mpf
     otherwise.  ``point`` maps variable names to exact rationals.
     """
-    return _eval(ex.simplify(e), _coerce_point(point))
+    return _eval(e, _coerce_point(point))
 
 
 def _eval(e, point):
@@ -116,9 +117,9 @@ def _combine(parts, unit, op):
 
 def eval_precise(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """Value of e at an exact rational point, correct to within
-    10**-(decimal_digits - 2) relative error."""
+    10**-(decimal_digits - 2) relative error.  Accepts any expression tree."""
     with mpmath.workdps(ctx.working_dps):
-        value = eval_number(e, point)
+        value = eval_number(ex.simplify(e), point)
         if isinstance(value, Fraction):
             return fraction_to_mpf(value)
         return +value

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import expr as ex
 from .engine import PdeSpec
 from .errors import ParseError, UnsupportedStructureError
-from .parsing import ExprParser, Token, TokenStream, tokenize
+from .parsing import RESERVED_NAMES, ExprParser, Token, TokenStream, tokenize
 
 __all__ = ["parse_spec_file", "serialize_spec", "FIELD_NAMES"]
 
@@ -82,9 +82,16 @@ def parse_spec_file(text: str) -> PdeSpec:
 
     field, body, end = fields["vars"]
     vars_stream = _substream(body, end)
-    names = [vars_stream.expect("IDENT", "a variable name").text]
+
+    def variable_name():
+        tok = vars_stream.expect("IDENT", "a variable name")
+        if tok.text in RESERVED_NAMES:
+            raise ParseError(f"variable name {tok.text!r} is reserved", tok.line, tok.col)
+        return tok.text
+
+    names = [variable_name()]
     while vars_stream.accept(","):
-        names.append(vars_stream.expect("IDENT", "a variable name").text)
+        names.append(variable_name())
     _expect_end(vars_stream)
 
     field, body, end = fields["equation"]

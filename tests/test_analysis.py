@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+import rdtm.expr
 from rdtm.analysis import (
     Grid2D,
     GridAxis,
@@ -64,6 +65,22 @@ class TestEvaluateSeries:
         _, sol = solved(ModelId.EX3, 10)
         with pytest.raises(TypeError):
             evaluate_series(sol, {"x": 1, "t": 0.1}, CTX)
+
+    def test_spectra_are_evaluated_as_given(self, monkeypatch, solved):
+        """Spectra are kernel results and already canonical, so evaluating
+        the series must not simplify them again in every cell."""
+        _, sol = solved(ModelId.EX2, 20)
+        calls = [0]
+        original = rdtm.expr.simplify
+
+        def counting(e):
+            calls[0] += 1
+            return original(e)
+
+        monkeypatch.setattr(rdtm.expr, "simplify", counting)
+        for i in range(1, 6):
+            evaluate_series(sol, {"t": F(i, 5), "x": F(1, i)}, CTX)
+        assert calls[0] == 0
 
 
 class TestErrorGrid:

@@ -158,3 +158,19 @@ def test_precision_below_floor_is_a_clean_error(capsys):
     code, out, err = run(capsys, "table", "ex3", "--precision", "10")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "--precision" in err
+
+
+def test_reserved_variable_in_problem_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "reserved.pde"
+    path.write_text('pde "r" {\n  vars: x, t;\n  equation: D(u,t,2) = u;\n  init: 1;  init_t: 0;\n}\n')
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2, col 12:") and "reserved" in err
+
+
+def test_non_utf8_problem_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "latin1.pde"
+    path.write_bytes('pde "caf\u00e9" { vars: x; }'.encode("latin-1"))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err

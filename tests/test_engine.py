@@ -354,3 +354,23 @@ class TestRecurrenceState:
             solve_series(spec, order)
             counts.append(calls[0])
         assert counts[1] < 6 * counts[0], counts
+
+    def test_solve_does_not_recanonicalize_kernel_results(self, monkeypatch, solved):
+        """Steps merge canonical products with add_expanded, so simplify runs
+        only on raw trees.  Re-simplifying every convolution entry and step
+        sum would grow like the O(K^3) recompute (3.7x from order 10 to 20)."""
+        spec, _ = solved(ModelId.EX2, 2)
+        calls = [0]
+        original = rdtm.expr.simplify
+
+        def counting(e):
+            calls[0] += 1
+            return original(e)
+
+        monkeypatch.setattr(rdtm.expr, "simplify", counting)
+        counts = []
+        for order in (10, 20):
+            calls[0] = 0
+            solve_series(spec, order)
+            counts.append(calls[0])
+        assert counts[1] < 3 * counts[0], counts

@@ -4,9 +4,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from rdtm.errors import ParseError, UndeclaredIdentifierError, UnsupportedNonlinearityError
-from rdtm.expr import Atom, DerivSym, Power, Product, Rational, Sum, Var, rational, simplify, to_text
-from rdtm.parsing import parse_expr
+from rdtm.errors import (
+    ParseError,
+    UndeclaredIdentifierError,
+    UnsupportedExpressionError,
+    UnsupportedNonlinearityError,
+)
+from rdtm.expr import (
+    Atom,
+    DerivSym,
+    Power,
+    Product,
+    Rational,
+    Sum,
+    Var,
+    expand,
+    rational,
+    simplify,
+    to_text,
+)
+from rdtm.parsing import MAX_NESTING, parse_expr
 
 X = ["x", "y"]
 
@@ -114,3 +131,53 @@ def test_print_parse_fixed_point(text):
     printed = to_text(e)
     assert parse_expr(printed, X) == e
     assert to_text(parse_expr(printed, X)) == printed
+
+
+def test_long_operator_chains_parse_flat():
+    poly = parse_expr(" + ".join(f"{k}*x^{k}" for k in range(1, 3001)), X)
+    assert isinstance(poly, Sum) and len(poly.terms) == 3000
+    assert poly.terms[-1] == Product((rational(3000), Power(Var("x"), 3000)))
+    assert parse_expr("*".join(["x"] * 3000), X) == Power(Var("x"), 3000)
+
+
+def test_sign_runs_fold():
+    assert parse_expr("-" * 1200 + "x", X) == Var("x")
+    assert parse_expr("-" * 1201 + "x", X) == simplify(Product((rational(-1), Var("x"))))
+    assert parse_expr("2*-+-+-y", X) == simplify(Product((rational(-2), Var("y"))))
+
+
+# (opening text, innermost text, closing text, offset of the reported
+# opening token within the opening text)
+NESTINGS = {
+    "parentheses": ("(", "x + 1", ")", 0),
+    "horner": ("x*(1 + ", "y", ")", 2),
+    "derivative": ("D(", "u", ",x,1)", 0),
+    "atom": ("exp(x + ", "x", ")", 0),
+}
+
+
+def _nested(form, depth):
+    opening, inner, closing, _ = NESTINGS[form]
+    return opening * depth + inner + closing * depth
+
+
+def test_nesting_at_the_limit_parses():
+    n = MAX_NESTING
+    assert parse_expr(_nested("parentheses", n), X) == parse_expr("x + 1", X)
+    flat = " + ".join(f"x^{k}" for k in range(1, n + 1)) + f" + x^{n}*y"
+    assert expand(parse_expr(_nested("horner", n), X)) == parse_expr(flat, X)
+    assert parse_expr(_nested("derivative", n), X) == DerivSym((("x", n),))
+
+
+def test_nested_atoms_at_the_limit_are_rejected_cleanly():
+    with pytest.raises(UnsupportedExpressionError):
+        parse_expr(_nested("atom", MAX_NESTING), X)
+
+
+@pytest.mark.parametrize("form", sorted(NESTINGS))
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_beyond_the_limit_is_a_parse_error(form, depth):
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse_expr(_nested(form, depth), X)
+    opening, _, _, offset = NESTINGS[form]
+    assert (err.value.line, err.value.col) == (1, len(opening) * MAX_NESTING + offset + 1)

@@ -183,3 +183,9 @@ def test_substitution_commutes_with_evaluation(e, value):
     direct = eval_precise(e, {"x": value, "y": F(2, 5)}, ctx)
     via_subst = eval_precise(substituted, {"y": F(2, 5)}, ctx)
     assert abs(direct - via_subst) <= (abs(direct) + 1) * mpmath.mpf(10) ** -25
+
+
+@given(st.lists(full_exprs, max_size=4))
+def test_add_expanded_matches_simplified_sum(exprs):
+    parts = [ex.expand(e) for e in exprs]
+    assert ex.add_expanded(parts) == ex.simplify(ex.Sum(tuple(parts)))

@@ -4,7 +4,9 @@ import pytest
 
 from rdtm.engine import solve_series
 from rdtm.errors import ParseError, UndeclaredIdentifierError, UnsupportedStructureError
+from rdtm.expr import expand
 from rdtm.models import ModelId, builtin_model
+from rdtm.parsing import MAX_NESTING
 from rdtm.specfile import parse_spec_file, serialize_spec
 
 EX3_TEXT = """
@@ -92,3 +94,16 @@ def test_serialize_round_trip(solved, model):
     parsed = parse_spec_file(serialize_spec(spec))
     assert parsed == spec
     assert solve_series(parsed, 6).spectra == sol.spectra
+
+
+def test_problem_nested_at_the_limit_solves():
+    """Horner form x*(1 + x*(1 + ... x)) nested MAX_NESTING deep solves
+    like its flat sum of powers."""
+    horner = "x*(1 + " * MAX_NESTING + "x" + ")" * MAX_NESTING
+    flat = "(" + " + ".join(f"x^{k}" for k in range(1, MAX_NESTING + 2)) + ")"
+
+    def solve(poly):
+        text = f'pde "deep" {{ vars: x; equation: D(u,t,2) = u*{poly}; init: {poly}; init_t: 1; }}'
+        return solve_series(parse_spec_file(text), 3).spectra
+
+    assert [expand(v) for v in solve(horner)] == [expand(v) for v in solve(flat)]
