@@ -18,7 +18,7 @@ from . import expr as ex
 from .engine import SeriesSolution, substitute_derivatives
 from .errors import GridError, PrecisionInsufficientError, UnboundVariableError
 from .parsing import TIME_VAR
-from .precision import PrecisionContext, eval_number, eval_precise, fraction_to_mpf
+from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 
 __all__ = [
     "GridAxis",
@@ -162,13 +162,14 @@ def absolute_error_grid(
             f"error grids need >= 30 working digits, got {ctx.decimal_digits}"
         )
     floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
+    exact = ex.simplify(exact)
     rows = []
     for tv in grid.row.values:
         row = []
         for cv in grid.col.values:
             point = grid.point(tv, cv)
             series_value = evaluate_series(sol, point, ctx)
-            exact_value = eval_precise(exact, point, ctx)
+            exact_value = eval_canonical(exact, point, ctx)
             err = abs(series_value - exact_value)
             if 0 < err < floor:
                 raise PrecisionInsufficientError(
@@ -194,23 +195,68 @@ def residual_order_check(
     numerically below 10^-(digits-6) at every probe.  A solution of order N
     must yield at least N-2 (so always >= N-3); returns sol.order when the
     residual is identically zero through its whole t-degree.
+
+    The residual's coefficients are formed in t-truncated arithmetic: a
+    product of series never forms a coefficient of t^N or higher, where N is
+    sol.order, so the whole-series products of the right-hand side cost
+    O(N^2) coefficient products instead of running out to their full
+    t-degree.  Only when every coefficient below t^N vanishes is the
+    residual formed again without the bound, so the first nonzero
+    coefficient above it is still found.  The return value is the same as
+    that of a full expansion in every case.
     """
     series = sol.to_expr()
     u_tt = ex.differentiate(series, TIME_VAR, 2)
     residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
-    coefficients = ex.collect_powers(residual, TIME_VAR)
     threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
-    with mpmath.workdps(ctx.working_dps):
-        for degree in sorted(coefficients):
-            c = coefficients[degree]
-            if c == ex.ZERO:
-                continue
-            if probe_points and all(
-                abs(eval_precise(c, p, ctx)) < threshold for p in probe_points
-            ):
-                continue
-            return degree
+    for bound in (sol.order, None):
+        coefficients = _t_coefficients(residual, bound)
+        with mpmath.workdps(ctx.working_dps):
+            for degree in sorted(coefficients):
+                if probe_points and all(
+                    abs(eval_canonical(coefficients[degree], p, ctx)) < threshold for p in probe_points
+                ):
+                    continue
+                return degree
     return sol.order
+
+
+def _t_coefficients(e, bound) -> dict:
+    """{degree: nonzero expanded coefficient} of e as a power series in t,
+    for the degrees below bound (every degree when bound is None).
+
+    Sums add, products and powers of sums multiply coefficient by
+    coefficient, and every other node is split as collect_powers splits it
+    (t inside atom arguments is not collected).  Degrees are never negative,
+    so a product skips each pair of coefficients whose degrees reach bound.
+    """
+    if isinstance(e, ex.Sum):
+        return _merge_by_degree(
+            (degree, c) for term in e.terms for degree, c in _t_coefficients(term, bound).items()
+        )
+    if isinstance(e, ex.Product):
+        factors = [_t_coefficients(f, bound) for f in e.factors]
+    elif isinstance(e, ex.Power) and isinstance(e.base, ex.Sum):
+        factors = [_t_coefficients(e.base, bound)] * e.exponent
+    else:
+        return {d: c for d, c in ex.collect_powers(e, TIME_VAR).items() if bound is None or d < bound}
+    result = factors[0]
+    for factor in factors[1:]:
+        result = _merge_by_degree(
+            (da + db, ex.mul_expanded(ca, cb))
+            for da, ca in result.items()
+            for db, cb in factor.items()
+            if bound is None or da + db < bound
+        )
+    return result
+
+
+def _merge_by_degree(pairs) -> dict:
+    parts = {}
+    for degree, c in pairs:
+        parts.setdefault(degree, []).append(c)
+    merged = {degree: ex.add_expanded(cs) for degree, cs in parts.items()}
+    return {degree: c for degree, c in merged.items() if c != ex.ZERO}
 
 
 def taylor_coefficient(e, k: int, var: str = TIME_VAR) -> ex.Expr:
@@ -351,6 +397,7 @@ def export_figure_data(
     if needed - bound:
         raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
 
+    exact = ex.simplify(exact)
     grids = [rational_range(start, stop, step) for _, start, stop, step in sweep_specs]
     points = [()]
     for axis in grids:
@@ -360,7 +407,7 @@ def export_figure_data(
         point = dict(fixed)
         point.update(zip(sweep_names, coords))
         series_value = evaluate_series(sol, point, ctx)
-        exact_value = eval_precise(exact, point, ctx)
+        exact_value = eval_canonical(exact, point, ctx)
         rows.append((*coords, series_value, exact_value, abs(series_value - exact_value)))
     columns = (*sweep_names, "series", "exact", "abs_error")
     return FigureData(columns, tuple(rows))

@@ -19,7 +19,8 @@ tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
 tree comes in: the parser, ``PdeSpec`` and the public entry points
 (``simplify``, ``expand``, ``differentiate``, ``substitute``,
 ``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
-``add_expanded`` and ``precision.eval_number`` require canonical input.
+``add_expanded``, ``precision.eval_number`` and ``precision.eval_canonical``
+require canonical input.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ An operator chain becomes one n-ary Sum or Product node and a run of signs
 is folded in a loop, so long flat input needs no recursion.  Nesting, by
 parentheses or by the arguments of exp/sin/cos/D, is bounded by
 MAX_NESTING; deeper input is a ParseError rather than a RecursionError.
+The order one D(...) asks for along a variable is bounded by
+MAX_DERIVATIVE_ORDER, so the differentiation work it implies is bounded too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ RESERVED_NAMES = frozenset({"t", "u", "D", "exp", "sin", "cos"})
 # this depth still parses, canonicalizes and solves under Python's default
 # recursion limit of 1000 frames.
 MAX_NESTING = 100
+# Highest derivative order one D(...) may ask for along one variable (its
+# pairs for that variable summed).  Each order is one differentiation pass at
+# parse time and per spectrum on the solve path, so an unbounded order is
+# unbounded work.  The built-in models reach order 5 at most (D(u,x,5) in
+# ex2's expanded right-hand side); 20 leaves room for higher-order operators.
+MAX_DERIVATIVE_ORDER = 20
 
 _PUNCT = "+-*/^(),{}:;="
 
@@ -260,6 +268,7 @@ class ExprParser:
         self.stream.expect("(", "'(' after D")
         inner = self.parse_nested(d_tok)
         pairs = []
+        totals = {}
         while self.stream.accept(","):
             var_tok = self.stream.expect("IDENT", "variable name in D(...)")
             name = var_tok.text
@@ -268,7 +277,15 @@ class ExprParser:
                     f"undeclared identifier {name!r}", var_tok.line, var_tok.col
                 )
             self.stream.expect(",")
+            order_tok = self.stream.cur
             order = self.parse_integer("derivative order")
+            totals[name] = totals.get(name, 0) + order
+            if totals[name] > MAX_DERIVATIVE_ORDER:
+                raise ParseError(
+                    f"derivative order {totals[name]} along {name!r} exceeds {MAX_DERIVATIVE_ORDER}",
+                    order_tok.line,
+                    order_tok.col,
+                )
             pairs.append((name, order))
         self.stream.expect(")")
         if not pairs:

@@ -19,6 +19,7 @@ from .errors import UnboundVariableError, UnsupportedExpressionError
 __all__ = [
     "PrecisionContext",
     "eval_precise",
+    "eval_canonical",
     "eval_number",
     "fraction_to_mpf",
     "GUARD_DIGITS",
@@ -118,8 +119,14 @@ def _combine(parts, unit, op):
 def eval_precise(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """Value of e at an exact rational point, correct to within
     10**-(decimal_digits - 2) relative error.  Accepts any expression tree."""
+    return eval_canonical(ex.simplify(e), point, ctx)
+
+
+def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
+    """``eval_precise`` of a canonical expression, evaluated as given, so a
+    caller that evaluates one expression at many points simplifies it once."""
     with mpmath.workdps(ctx.working_dps):
-        value = eval_number(ex.simplify(e), point)
+        value = eval_number(e, point)
         if isinstance(value, Fraction):
             return fraction_to_mpf(value)
         return +value

@@ -1,13 +1,20 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: series oracles sum exact
-rational Taylor terms instead of calling mpmath, and the convolution oracle
-walks every composition with nested loops instead of folding pairwise.
+rational Taylor terms instead of calling mpmath, the convolution oracle
+walks every composition with nested loops instead of folding pairwise, and
+the residual oracle expands the whole residual instead of truncating it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import mpmath
+
+from rdtm import expr as ex
+from rdtm.engine import substitute_derivatives
+from rdtm.precision import PrecisionContext, eval_precise
 
 
 def exp_oracle(x: Fraction, digits: int = 60) -> Fraction:
@@ -91,3 +98,29 @@ def nested_convolution(sequences, k: int):
         return total
 
     return recurse(0, k, Fraction(1))
+
+
+def full_expansion_residual(spec, sol) -> dict:
+    """Reference residual for ``analysis.residual_order_check``: u_tt - rhs at
+    the truncated series, expanded out to its whole t-degree, as
+    {degree: coefficient}."""
+    series = sol.to_expr()
+    u_tt = ex.differentiate(series, "t", 2)
+    residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
+    return ex.collect_powers(residual, "t")
+
+
+def first_nonvanishing_degree(coefficients, order, probe_points=(), ctx=PrecisionContext()) -> int:
+    """The vanishing order that ``residual_order_check`` must report for these
+    residual coefficients: the lowest degree whose coefficient is nonzero
+    (given probe points, numerically at one of them), else the series order."""
+    threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
+    with mpmath.workdps(ctx.working_dps):
+        for degree in sorted(coefficients):
+            c = coefficients[degree]
+            if c == ex.ZERO:
+                continue
+            if probe_points and all(abs(eval_precise(c, p, ctx)) < threshold for p in probe_points):
+                continue
+            return degree
+    return order

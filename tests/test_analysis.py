@@ -1,6 +1,8 @@
 """Series evaluation, error grids, residual checks, rendering, figure data."""
 
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -18,13 +20,15 @@ from rdtm.analysis import (
     residual_order_check,
     taylor_coefficient,
 )
-from rdtm.engine import SeriesSolution
+from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
-from rdtm.expr import ZERO, simplify, to_text
+from rdtm.expr import ZERO, Product, Sum, Var, addends, deriv_sym, rational, simplify, to_text
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
+from rdtm.parsing import parse_expr
 from rdtm.precision import PrecisionContext, fraction_to_mpf
+from rdtm.specfile import parse_spec_file
 
-from oracles import sin_oracle, sin_partial_sum
+from oracles import first_nonvanishing_degree, full_expansion_residual, sin_oracle, sin_partial_sum
 
 CTX = PrecisionContext(50)
 
@@ -91,6 +95,28 @@ class TestErrorGrid:
         )
         table = absolute_error_grid(sol, spec.exact, grid, CTX)
         assert table.values[0] == (0, 0)
+
+    def test_exact_is_simplified_once_per_grid(self, monkeypatch, solved):
+        """The exact solution is canonicalized once per table or figure, not
+        in every cell: on a 10x10 ex1 grid, simplify sees it once, not 100
+        times."""
+        spec, sol = solved(ModelId.EX1, 8)
+        tenths = [F(i, 10) for i in range(1, 11)]
+        grid = Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y"))
+        calls = [0]
+        original = rdtm.expr.simplify
+
+        def counting(e):
+            calls[0] += e == spec.exact
+            return original(e)
+
+        monkeypatch.setattr(rdtm.expr, "simplify", counting)
+        absolute_error_grid(sol, spec.exact, grid, CTX)
+        assert calls[0] == 1
+        calls[0] = 0
+        sweeps = [("t", F(1, 10), 1, F(1, 10)), ("x", F(1, 10), 1, F(1, 10))]
+        export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+        assert calls[0] == 1
 
     def test_grid_must_increase(self):
         with pytest.raises(GridError):
@@ -165,6 +191,101 @@ class TestResidualOrder:
         spec, sol = solved(ModelId.EX3, 10)
         probes = [{"x": F(i, 7)} for i in range(1, 6)]
         assert residual_order_check(spec, sol, probe_points=probes) >= 7
+
+
+GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "growing.pde"
+# The series is zero until order 8 reaches the source's t^7 spectrum, so below
+# order 8 the residual's first nonzero coefficient (t^5) can lie at or above
+# the truncation order.
+PAST_ORDER_PDE = 'pde "past" { vars: x; equation: D(u,t,2) = x*t^5; init: 0; init_t: 0; }'
+
+
+def _probe_sets(spec):
+    """No probes, three generic points, and the origin (where polynomial
+    coefficients with a spatial factor vanish numerically)."""
+    generic = [{v: F(i + j + 2, 7) for j, v in enumerate(spec.spatial_vars)} for i in range(3)]
+    origin = [{v: F(0) for v in spec.spatial_vars}]
+    return (), generic, origin
+
+
+def assert_matches_full_expansion(spec, sol):
+    coefficients = full_expansion_residual(spec, sol)
+    for probes in _probe_sets(spec):
+        got = residual_order_check(spec, sol, probes, CTX)
+        want = first_nonvanishing_degree(coefficients, sol.order, probes, CTX)
+        assert got == want, (spec.name, sol.order, probes)
+
+
+def _random_spec(rng, name):
+    """u_tt = sum of c * x^a * t^n * (product of 0-3 factors among u, u_x,
+    u_xx), with initial data drawn from polynomials and atoms in x."""
+    x, t = Var("x"), Var("t")
+    factors = [deriv_sym({}), deriv_sym({"x": 1}), deriv_sym({"x": 2})]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        coefficient = rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        chosen = [rng.choice(factors) for _ in range(rng.randint(0, 3))]
+        terms.append(Product((coefficient, x ** rng.randint(0, 2), t ** rng.randint(0, 2), *chosen)))
+    data = ["0", "1", "1 + x", "x^2 - 2*x", "exp(x)", "sin(x)", "1/2*x*exp(x)"]
+    init_u, init_ut = (parse_expr(rng.choice(data), ("x",)) for _ in range(2))
+    return PdeSpec(name, ("x",), Sum(tuple(terms)), init_u, init_ut)
+
+
+class TestTruncatedResidual:
+    """residual_order_check forms coefficients only below the truncation
+    order; it must return what the full expansion returns."""
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_builtin_models_match_full_expansion(self, model, solved):
+        for order in range(2, 11):
+            assert_matches_full_expansion(*solved(model, order))
+
+    def test_growing_problem_matches_full_expansion(self):
+        spec = parse_spec_file(GROWING_PDE.read_text())
+        for order in range(4, 9):
+            assert_matches_full_expansion(spec, solve_series(spec, order))
+
+    def test_mutated_spectra_match_full_expansion(self, solved):
+        problems = [solved(model, 6) for model in ModelId]
+        growing = parse_spec_file(GROWING_PDE.read_text())
+        problems.append((growing, solve_series(growing, 6)))
+        for spec, sol in problems:
+            for k in range(6):
+                spectra = list(sol.spectra)
+                spectra[k] = simplify(spectra[k] + 1)
+                assert_matches_full_expansion(spec, SeriesSolution(spec, tuple(spectra), 6))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_problems_match_full_expansion(self, seed):
+        rng = random.Random(seed)
+        spec = _random_spec(rng, f"random{seed}")
+        assert_matches_full_expansion(spec, solve_series(spec, rng.randint(3, 7)))
+
+    @pytest.mark.parametrize("order, vanish", [(3, 5), (4, 5), (6, 5), (8, 8)])
+    def test_residual_vanishing_past_the_order_is_found(self, order, vanish):
+        """Every coefficient below the truncation order vanishes here, so the
+        check must look past it; a truncate-only check would return the order."""
+        spec = parse_spec_file(PAST_ORDER_PDE)
+        sol = solve_series(spec, order)
+        assert residual_order_check(spec, sol) == vanish
+        assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
+
+    def test_products_stop_at_the_truncation_order(self, monkeypatch):
+        """Monomial pairs multiplied during the check of growing.pde at order
+        8: 4333 with truncation, 28512 when the residual is expanded to its
+        whole t-degree."""
+        spec = parse_spec_file(GROWING_PDE.read_text())
+        sol = solve_series(spec, 8)
+        pairs = [0]
+        original = rdtm.expr.mul_expanded
+
+        def counting(a, b):
+            pairs[0] += len(addends(a)) * len(addends(b))
+            return original(a, b)
+
+        monkeypatch.setattr(rdtm.expr, "mul_expanded", counting)
+        assert residual_order_check(spec, sol) == 6
+        assert pairs[0] < 10000, pairs[0]
 
 
 class TestTaylorCoefficient:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from rdtm.cli import main
 from rdtm.analysis import evaluate_series
 from rdtm.models import ModelId
-from rdtm.parsing import parse_expr
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, parse_expr
 from rdtm.precision import PrecisionContext, eval_precise
 
 EX3_TEXT = """
@@ -174,3 +174,25 @@ def test_non_utf8_problem_file_is_a_clean_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_derivative_order_beyond_the_limit_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "high.pde"
+    n = MAX_DERIVATIVE_ORDER
+    path.write_text(f'pde "high" {{\n  vars: x;\n  equation: D(u,t,2) = D(u,x,{n + 1});\n  init: x;  init_t: 0;\n}}\n')
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 3, col 30:") and f"exceeds {n}" in err
+    path.write_text(path.read_text().replace(str(n + 1), str(n)))
+    code, out, err = run(capsys, "solve", str(path), "--order", "3")
+    assert code == 0, err
+
+
+def test_check_reports_a_residual_vanishing_past_the_order(tmp_path, capsys):
+    """u_tt = x*t^5 from zero data: at order 4 the series is zero and the
+    residual's first nonzero coefficient is t^5, above the order."""
+    path = tmp_path / "past.pde"
+    path.write_text('pde "past" { vars: x; equation: D(u,t,2) = x*t^5; init: 0; init_t: 0; }\n')
+    code, out, err = run(capsys, "check", str(path), "--order", "4")
+    assert code == 0, err
+    assert out.splitlines()[0] == "residual vanishes through t^4 (order 4 needs t^1)"

@@ -1,6 +1,7 @@
 """Expression grammar: parsing, errors with positions, print round trips."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from rdtm.expr import (
     simplify,
     to_text,
 )
-from rdtm.parsing import MAX_NESTING, parse_expr
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_NESTING, parse_expr
 
 X = ["x", "y"]
 
@@ -181,3 +182,25 @@ def test_nesting_beyond_the_limit_is_a_parse_error(form, depth):
         parse_expr(_nested(form, depth), X)
     opening, _, _, offset = NESTINGS[form]
     assert (err.value.line, err.value.col) == (1, len(opening) * MAX_NESTING + offset + 1)
+
+
+def test_derivative_order_at_the_limit_parses():
+    n = MAX_DERIVATIVE_ORDER
+    assert parse_expr(f"D(u,x,{n})", X) == DerivSym((("x", n),))
+    assert parse_expr(f"D(u,x,{n - 1},x,1,y,{n})", X) == DerivSym((("x", n), ("y", n)))
+    assert parse_expr(f"D(x^{n},x,{n})", X) == rational(factorial(n))
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        (f"D(u,x,{MAX_DERIVATIVE_ORDER + 1})", 7),
+        ("D(u,x,100000)", 7),
+        ("1 + D(exp(x),x,100000)", 16),
+        (f"D(u,x,{MAX_DERIVATIVE_ORDER},y,1,x,1)", 16),
+    ],
+)
+def test_derivative_order_beyond_the_limit_is_a_parse_error(text, col):
+    with pytest.raises(ParseError, match=f"exceeds {MAX_DERIVATIVE_ORDER}") as err:
+        parse_expr(text, X)
+    assert (err.value.line, err.value.col) == (1, col)
