@@ -25,11 +25,9 @@ from .engine import (
     RecurrenceTerm,
     SeriesSolution,
     SpectralRecurrence,
-    advance_step,
     cauchy_product,
     compile_recurrence,
     evaluate_term,
-    initial_spectra,
     solve_series,
     substitute_derivatives,
 )
@@ -58,7 +56,6 @@ from .expr import (
     Var,
     ZERO,
     ONE,
-    coefficient_of,
     collect_powers,
     contains_derivsym,
     deriv_sym,
@@ -77,7 +74,6 @@ from .models import (
     DEFAULT_TABLE_ORDER,
     ModelId,
     builtin_model,
-    exact_solution,
 )
 from .parsing import parse_expr
 from .precision import PrecisionContext, eval_precise

@@ -8,6 +8,7 @@ them in any order gives the same table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Context as DecimalContext
 from fractions import Fraction
@@ -221,14 +222,19 @@ def residual_order_check(
     return sol.order
 
 
+_T = ex.Var(TIME_VAR)
+
+
 def _t_coefficients(e, bound) -> dict:
     """{degree: nonzero expanded coefficient} of e as a power series in t,
     for the degrees below bound (every degree when bound is None).
 
-    Sums add, products and powers of sums multiply coefficient by
-    coefficient, and every other node is split as collect_powers splits it
-    (t inside atom arguments is not collected).  Degrees are never negative,
-    so a product skips each pair of coefficients whose degrees reach bound.
+    Sums add, and products and powers of sums multiply coefficient by
+    coefficient.  Every other node is a canonical leaf, already expanded:
+    t and t^n carry their degree, and any other leaf (t inside an atom
+    argument included) is a degree-0 coefficient, as collect_powers would
+    split it.  Degrees are never negative, so a product skips each pair of
+    coefficients whose degrees reach bound.
     """
     if isinstance(e, ex.Sum):
         return _merge_by_degree(
@@ -239,7 +245,15 @@ def _t_coefficients(e, bound) -> dict:
     elif isinstance(e, ex.Power) and isinstance(e.base, ex.Sum):
         factors = [_t_coefficients(e.base, bound)] * e.exponent
     else:
-        return {d: c for d, c in ex.collect_powers(e, TIME_VAR).items() if bound is None or d < bound}
+        if e == ex.ZERO:
+            return {}
+        if e == _T:
+            degree, coefficient = 1, ex.ONE
+        elif isinstance(e, ex.Power) and e.base == _T:
+            degree, coefficient = e.exponent, ex.ONE
+        else:
+            degree, coefficient = 0, e
+        return {degree: coefficient} if bound is None or degree < bound else {}
     result = factors[0]
     for factor in factors[1:]:
         result = _merge_by_degree(
@@ -264,15 +278,8 @@ def taylor_coefficient(e, k: int, var: str = TIME_VAR) -> ex.Expr:
     zero divided by k! (the transform applied to a closed-form expression)."""
     d = ex.differentiate(e, var, k)
     return ex.simplify(
-        ex.Product((ex.rational(1, _factorial(k)), ex.substitute(d, {var: 0})))
+        ex.Product((ex.rational(1, math.factorial(k)), ex.substitute(d, {var: 0})))
     )
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

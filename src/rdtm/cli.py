@@ -70,11 +70,16 @@ def _fraction(text: str) -> Fraction:
         raise GridError(f"not an exact rational: {text!r}") from None
 
 
-def _axis_values(spec: str):
+def _range_bounds(spec: str):
+    """'start:stop:step' -> (start, stop, step) as exact rationals."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise GridError(f"expected start:stop:step, got {spec!r}")
-    start, stop, step = (_fraction(p) for p in parts)
+    return tuple(_fraction(p) for p in parts)
+
+
+def _axis_values(spec: str):
+    start, stop, step = _range_bounds(spec)
     if step <= 0:
         raise GridError("step must be positive")
     return rational_range(start, stop, step)
@@ -115,10 +120,7 @@ def _parse_sweep(text: str):
     name, eq, range_spec = text.partition("=")
     if not eq:
         raise GridError(f"expected name=start:stop:step, got {text!r}")
-    parts = range_spec.split(":")
-    if len(parts) != 3:
-        raise GridError(f"expected start:stop:step, got {range_spec!r}")
-    return (name.strip(), _fraction(parts[0]), _fraction(parts[1]), _fraction(parts[2]))
+    return (name.strip(), *_range_bounds(range_spec))
 
 
 def _emit(text: str, out_path):

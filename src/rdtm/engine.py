@@ -42,9 +42,7 @@ __all__ = [
     "SeriesSolution",
     "RecurrenceState",
     "compile_recurrence",
-    "initial_spectra",
     "cauchy_product",
-    "advance_step",
     "solve_series",
     "evaluate_term",
     "substitute_derivatives",
@@ -109,18 +107,21 @@ class RecurrenceTerm:
     convolution, at index k - time_shift, of the factors' derivative images
     of the spectra; zero when k - time_shift < 0.  A factor is a derivative
     order map ((var, order), ...), the empty tuple being u itself, or SOURCE
-    for the synthetic constant factor of a pure source term.
+    for the synthetic constant factor of a pure source term.  The
+    coefficient is stored expanded, so every step uses it as is.
     """
 
     coefficient: ex.Expr
     time_shift: int
     factors: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficient", ex.expand(self.coefficient))
+
 
 @dataclass(frozen=True)
 class SpectralRecurrence:
     terms: tuple
-    spatial_vars: tuple
 
 
 @dataclass(frozen=True)
@@ -213,18 +214,12 @@ def compile_recurrence(spec: PdeSpec) -> SpectralRecurrence:
                         f"powers t^n, found {ex.to_text(f)}"
                     )
                 coeff_factors.append(f)
-        coefficient = ex.simplify(ex.Product((ex.Rational(coeff), *coeff_factors)))
+        coefficient = ex.Product((ex.Rational(coeff), *coeff_factors))
         deriv_factors.sort()
         terms.append(
             RecurrenceTerm(coefficient, shift, tuple(deriv_factors) or (SOURCE,))
         )
-    return SpectralRecurrence(tuple(terms), spec.spatial_vars)
-
-
-def initial_spectra(spec: PdeSpec):
-    """V_0 and V_1 are the two initial conditions (the transform of the
-    initial data; the 1/k! factors are 1 for k <= 1)."""
-    return spec.init_u, spec.init_ut
+    return SpectralRecurrence(tuple(terms))
 
 
 def cauchy_product(sequences, k: int) -> ex.Expr:
@@ -305,8 +300,8 @@ class RecurrenceState:
         if j < 0:
             return ex.ZERO
         if term.factors == (SOURCE,):
-            return ex.expand(term.coefficient) if j == 0 else ex.ZERO
-        return ex.mul_expanded(ex.expand(term.coefficient), self._products(term.factors, j)[j])
+            return term.coefficient if j == 0 else ex.ZERO
+        return ex.mul_expanded(term.coefficient, self._products(term.factors, j)[j])
 
     def step(self) -> ex.Expr:
         """Append and return V_{k+2}, where the spectra run through index k+1.
@@ -323,21 +318,15 @@ class RecurrenceState:
 
 def evaluate_term(term: RecurrenceTerm, spectra, k: int) -> ex.Expr:
     """Contribution of one recurrence term at index k, given spectra 0..k."""
-    return RecurrenceState(SpectralRecurrence((term,), ()), spectra).contribution(term, k)
-
-
-def advance_step(rec: SpectralRecurrence, spectra, k: int) -> ex.Expr:
-    """Next spectrum V_{k+2} from spectra complete through index k+1."""
-    if len(spectra) < k + 2:
-        raise InvalidOrderError(f"need spectra through index {k + 1} to advance")
-    return RecurrenceState(rec, spectra[: k + 2]).step()
+    return RecurrenceState(SpectralRecurrence((term,)), spectra).contribution(term, k)
 
 
 def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
     """Run the recurrence to produce spectra V_0..V_{order-1}."""
     if not isinstance(order, int) or order < 2:
         raise InvalidOrderError(f"truncation order must be an integer >= 2, got {order!r}")
-    state = RecurrenceState(compile_recurrence(spec), initial_spectra(spec))
+    # V_0 and V_1 are the initial data (the 1/k! factors are 1 for k <= 1)
+    state = RecurrenceState(compile_recurrence(spec), (spec.init_u, spec.init_ut))
     for _ in range(order - 2):
         state.step()
     return SeriesSolution(spec, tuple(state.spectra), order)

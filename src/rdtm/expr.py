@@ -16,8 +16,8 @@ sum-of-monomials form in which cancellation is complete.
 
 Canonical form is decided here.  Every kernel function returns a canonical
 tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
-tree comes in: the parser, ``PdeSpec`` and the public entry points
-(``simplify``, ``expand``, ``differentiate``, ``substitute``,
+tree comes in: the parser, ``PdeSpec``, ``RecurrenceTerm`` and the public
+entry points (``simplify``, ``expand``, ``differentiate``, ``substitute``,
 ``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
 ``add_expanded``, ``precision.eval_number`` and ``precision.eval_canonical``
 require canonical input.
@@ -51,10 +51,8 @@ __all__ = [
     "substitute",
     "addends",
     "collect_powers",
-    "coefficient_of",
     "free_vars",
     "contains_derivsym",
-    "contains_atom",
     "to_text",
     "to_latex",
 ]
@@ -241,18 +239,7 @@ def _canon(e) -> Expr:
 
 def _first_unsupported(e):
     """First Atom or DerivSym node inside e, or None if e is polynomial."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Atom, DerivSym)):
-            return node
-        if isinstance(node, Power):
-            stack.append(node.base)
-        elif isinstance(node, Product):
-            stack.extend(node.factors)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-    return None
+    return next((node for node in _subtrees(e) if isinstance(node, (Atom, DerivSym))), None)
 
 
 def _canon_atom(kind, argument) -> Expr:
@@ -465,11 +452,6 @@ def collect_powers(e, var) -> dict:
     return {degree: _canon_sum(parts) for degree, parts in sorted(grouped.items())}
 
 
-def coefficient_of(e, var, degree) -> Expr:
-    """Coefficient of var**degree in the expanded form of e."""
-    return collect_powers(e, var).get(degree, ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Calculus
 
@@ -537,15 +519,14 @@ def _sub(e, table) -> Expr:
 # Structure queries
 
 
-def free_vars(e) -> frozenset:
-    """Names of variables occurring in e (inside atom arguments included)."""
-    out = set()
+def _subtrees(e):
+    """Every node of e, atom arguments included, in a fixed pre-order: a
+    node comes before its children, and the last child is visited first."""
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Atom):
+        yield node
+        if isinstance(node, Atom):
             stack.append(node.argument)
         elif isinstance(node, Power):
             stack.append(node.base)
@@ -553,39 +534,15 @@ def free_vars(e) -> frozenset:
             stack.extend(node.factors)
         elif isinstance(node, Sum):
             stack.extend(node.terms)
-    return frozenset(out)
+
+
+def free_vars(e) -> frozenset:
+    """Names of variables occurring in e (inside atom arguments included)."""
+    return frozenset(node.name for node in _subtrees(e) if isinstance(node, Var))
 
 
 def contains_derivsym(e) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, DerivSym):
-            return True
-        if isinstance(node, Atom):
-            stack.append(node.argument)
-        elif isinstance(node, Power):
-            stack.append(node.base)
-        elif isinstance(node, Product):
-            stack.extend(node.factors)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-    return False
-
-
-def contains_atom(e) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            return True
-        if isinstance(node, Power):
-            stack.append(node.base)
-        elif isinstance(node, Product):
-            stack.extend(node.factors)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-    return False
+    return any(isinstance(node, DerivSym) for node in _subtrees(e))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from . import expr as ex
 from .analysis import rational_range
 from .engine import PdeSpec
 from .parsing import parse_expr
@@ -18,8 +17,6 @@ from .parsing import parse_expr
 __all__ = [
     "ModelId",
     "builtin_model",
-    "exact_solution",
-    "model_from_name",
     "DEFAULT_TABLE_ORDER",
     "DEFAULT_TABLE_GRID",
     "DEFAULT_FIGURE",
@@ -68,13 +65,6 @@ _DEFINITIONS = {
 }
 
 
-def model_from_name(name: str) -> ModelId:
-    try:
-        return ModelId(name.lower())
-    except ValueError:
-        raise ValueError(f"unknown built-in model {name!r} (use ex1, ex2 or ex3)") from None
-
-
 def builtin_model(model: ModelId) -> PdeSpec:
     """A validated problem definition for the given built-in model."""
     d = _DEFINITIONS[model]
@@ -86,13 +76,6 @@ def builtin_model(model: ModelId) -> PdeSpec:
         init_ut=parse_expr(d["init_t"], d["vars"]),
         exact=parse_expr(d["exact"], d["vars"]),
     )
-
-
-def exact_solution(model: ModelId) -> ex.Expr:
-    """Closed-form solution; satisfies the model's equation, so the residual
-    check applied to it vanishes through the tested order."""
-    d = _DEFINITIONS[model]
-    return parse_expr(d["exact"], d["vars"])
 
 
 # Reproduction defaults: truncation orders are the ones that match the

@@ -196,3 +196,31 @@ def test_check_reports_a_residual_vanishing_past_the_order(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), "--order", "4")
     assert code == 0, err
     assert out.splitlines()[0] == "residual vanishes through t^4 (order 4 needs t^1)"
+
+
+def test_model_id_is_case_insensitive(capsys):
+    upper = run(capsys, "solve", "EX3", "--order", "4")
+    assert upper == run(capsys, "solve", "ex3", "--order", "4")
+    assert upper[0] == 0 and "V_1 = x^2" in upper[1]
+
+
+def test_unknown_model_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no file named ex4 here
+    code, out, err = run(capsys, "solve", "ex4")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "ex4" in err
+
+
+def test_malformed_ranges_are_clean_errors(capsys):
+    """--grid axes and --sweep ranges share the start:stop:step split."""
+    cases = [
+        (("table", "ex3", "--grid", "t=0:1;x=0:1:1/2"), "error: expected start:stop:step, got '0:1'"),
+        (("figure", "ex3", "--sweep", "t=0:1"), "error: expected start:stop:step, got '0:1'"),
+        (("table", "ex3", "--grid", "t=0:1:1/2;x=0:q:1/2"), "error: not an exact rational: 'q'"),
+        (("figure", "ex3", "--sweep", "t=0:q:1/2"), "error: not an exact rational: 'q'"),
+        (("table", "ex3", "--grid", "t=0:1:0;x=0:1:1/2"), "error: step must be positive"),
+        (("figure", "ex3", "--sweep", "t0:1:1/2"), "error: expected name=start:stop:step, got 't0:1:1/2'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message + "\n"), argv

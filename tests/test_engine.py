@@ -12,11 +12,9 @@ from rdtm.engine import (
     PdeSpec,
     RecurrenceState,
     SeriesSolution,
-    advance_step,
     cauchy_product,
     compile_recurrence,
     evaluate_term,
-    initial_spectra,
     solve_series,
     substitute_derivatives,
 )
@@ -118,9 +116,10 @@ class TestInitialSpectra:
         ],
     )
     def test_builtin(self, solved, model, expected):
-        spec, _ = solved(model, 2)
-        v0, v1 = initial_spectra(spec)
-        assert (to_text(v0), to_text(v1)) == expected
+        """V_0 and V_1 of a solve are the initial data."""
+        spec, sol = solved(model, 2)
+        assert sol.spectra == (spec.init_u, spec.init_ut)
+        assert tuple(to_text(v) for v in sol.spectra) == expected
 
 
 class TestCauchyProduct:
@@ -154,33 +153,26 @@ class TestCauchyProduct:
             cauchy_product([], 0)
 
 
+def initial_state(spec):
+    return RecurrenceState(compile_recurrence(spec), [spec.init_u, spec.init_ut])
+
+
 class TestAdvanceStep:
     def test_ex3_first_step_vanishes(self, solved):
         spec, _ = solved(ModelId.EX3, 2)
-        rec = compile_recurrence(spec)
-        v0, v1 = initial_spectra(spec)
-        assert advance_step(rec, [v0, v1], 0) == ZERO
+        assert initial_state(spec).step() == ZERO
 
     def test_ex3_second_step(self, solved):
         spec, _ = solved(ModelId.EX3, 2)
-        rec = compile_recurrence(spec)
-        v0, v1 = initial_spectra(spec)
-        v2 = advance_step(rec, [v0, v1], 0)
-        v3 = advance_step(rec, [v0, v1, v2], 1)
+        state = initial_state(spec)
+        state.step()
+        v3 = state.step()
         assert v3 == simplify(Product((rational(-1, 6), Power(x, 2))))
 
     def test_ex2_first_step_quintic_cancellation(self, solved):
         spec, _ = solved(ModelId.EX2, 2)
-        rec = compile_recurrence(spec)
-        v0, v1 = initial_spectra(spec)
-        v2 = advance_step(rec, [v0, v1], 0)
+        v2 = initial_state(spec).step()
         assert v2 == simplify(Product((rational(1, 2), e_x)))
-
-    def test_requires_enough_spectra(self, solved):
-        spec, _ = solved(ModelId.EX3, 2)
-        rec = compile_recurrence(spec)
-        with pytest.raises(InvalidOrderError):
-            advance_step(rec, [ZERO], 0)
 
 
 class TestSolveSeries:
@@ -325,7 +317,7 @@ class TestRecurrenceState:
 
     def test_step_extends_every_memo_by_one_entry(self, solved):
         spec, _ = solved(ModelId.EX2, 2)
-        state = RecurrenceState(compile_recurrence(spec), initial_spectra(spec))
+        state = initial_state(spec)
         for k in range(4):
             state.step()
             assert len(state.spectra) == k + 3
@@ -374,3 +366,23 @@ class TestRecurrenceState:
             solve_series(spec, order)
             counts.append(calls[0])
         assert counts[1] < 3 * counts[0], counts
+
+    def test_coefficients_are_expanded_once_at_compile_time(self, monkeypatch, solved):
+        """Terms store their coefficients expanded, so a contribution whose
+        images and products are already memoized calls expand not at all,
+        rather than once per term at every step."""
+        spec, _ = solved(ModelId.EX1, 2)
+        state = initial_state(spec)
+        state.step()
+        assert all(term.coefficient == expand(term.coefficient) for term in state.rec.terms)
+        calls = [0]
+        original = rdtm.expr.expand
+
+        def counting(e):
+            calls[0] += 1
+            return original(e)
+
+        monkeypatch.setattr(rdtm.expr, "expand", counting)
+        for term in state.rec.terms:
+            state.contribution(term, 0)
+        assert calls[0] == 0
