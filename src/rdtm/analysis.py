@@ -18,7 +18,7 @@ import mpmath
 from . import expr as ex
 from .engine import SeriesSolution, substitute_derivatives
 from .errors import GridError, PrecisionInsufficientError, UnboundVariableError
-from .parsing import TIME_VAR
+from .parsing import MAX_GRID_POINTS, TIME_VAR
 from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 
 __all__ = [
@@ -48,6 +48,39 @@ def rational_range(start, stop, step) -> tuple:
         values.append(value)
         value += step
     return tuple(values)
+
+
+def range_length(start, stop, step) -> int:
+    """How many values rational_range(start, stop, step) yields, counted
+    from the bounds alone; step must be positive."""
+    start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    return max(0, math.floor((stop - start) / step) + 1)
+
+
+def check_grid_size(lengths) -> None:
+    """Reject a cartesian grid whose axes have these lengths when it, or any
+    one axis, has more than MAX_GRID_POINTS points, before any of them is
+    enumerated.  The axis test matters when another axis is empty: the grid
+    then has no points, but the long axis would still be enumerated."""
+    size = math.prod(lengths)
+    if size > MAX_GRID_POINTS:
+        raise GridError(f"grid has {size} points, more than the limit of {MAX_GRID_POINTS}")
+    longest = max(lengths, default=0)
+    if longest > MAX_GRID_POINTS:
+        raise GridError(f"an axis has {longest} points, more than the limit of {MAX_GRID_POINTS}")
+
+
+def check_sweeps(sweeps) -> list:
+    """[(variable, start, stop, step)] with exact rational bounds, once every
+    step is positive and the cartesian sweep is within MAX_GRID_POINTS."""
+    specs = []
+    for name, start, stop, step in sweeps:
+        start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+        if step <= 0:
+            raise GridError(f"sweep step for {name!r} must be positive")
+        specs.append((name, start, stop, step))
+    check_grid_size([range_length(start, stop, step) for _, start, stop, step in specs])
+    return specs
 
 
 def _as_fractions(values):
@@ -125,28 +158,87 @@ class FigureData:
         return "\n".join(lines) + "\n"
 
 
+class _SeriesEvaluator:
+    """Truncated series sum(V_k(point) * t^k) of one solution at many points.
+
+    V_k depends only on the spatial point, so its values can be computed
+    once per distinct spatial binding (the point minus t), and the powers of
+    each distinct t once, as exact Fractions together with their mpf
+    conversions.  Atom values are memoized per (kind, argument, precision)
+    in ``atoms``, which the caller shares with its evaluations of the exact
+    solution.  A cell then sums the rounded terms in increasing k, as a lone
+    evaluation does, and the exact terms in any order, since their sum is
+    exact; so every result is bit-identical to evaluating its point alone.
+
+    ``axes`` gives (variables, length) for each axis of the cartesian grid
+    the caller walks.  Spectrum values are kept only when an axis of t alone
+    repeats every spatial point, and t-powers only when an axis without t
+    repeats every t; a memo whose key never recurs would only hold memory.
+    The memos live as long as the evaluator: one grid, one figure or one
+    ``evaluate_series`` call.
+    """
+
+    def __init__(self, sol: SeriesSolution, ctx: PrecisionContext, axes=()):
+        self.spectra = sol.spectra
+        self.ctx = ctx
+        self.atoms = {}
+        self._terms = {}
+        self._powers = {}
+        varying = [set(names) for names, length in axes if length > 1]
+        self._keep_terms = {TIME_VAR} in varying
+        self._keep_powers = any(TIME_VAR not in names for names in varying)
+
+    def series(self, point):
+        bindings = dict(point)
+        if TIME_VAR not in bindings:
+            raise UnboundVariableError("the evaluation point must bind t")
+        t = bindings.pop(TIME_VAR)
+        if isinstance(t, float):
+            raise TypeError("t must be an exact rational, not a float")
+        t = t if isinstance(t, Fraction) else Fraction(t)
+        with mpmath.workdps(self.ctx.working_dps):
+            exact_terms, rounded_terms = self._terms_at(bindings)
+            powers, powers_mpf = self._t_powers(t)
+            exact_part = sum((value * powers[k] for k, value in exact_terms), Fraction(0))
+            rounded_part = mpmath.mpf(0)
+            for k, value in rounded_terms:
+                rounded_part += value * powers_mpf[k]
+            return +(rounded_part + fraction_to_mpf(exact_part))
+
+    def _terms_at(self, bindings):
+        """([(k, V_k) exact and nonzero], [(k, V_k) rounded]) at a spatial point."""
+        key = tuple(sorted(bindings.items()))
+        terms = self._terms.get(key)
+        if terms is None:
+            exact_terms, rounded_terms = [], []
+            for k, v in enumerate(self.spectra):
+                value = eval_number(v, bindings, self.atoms)
+                if not isinstance(value, Fraction):
+                    rounded_terms.append((k, value))
+                elif value:
+                    exact_terms.append((k, value))
+            terms = (exact_terms, rounded_terms)
+            if self._keep_terms:
+                self._terms[key] = terms
+        return terms
+
+    def _t_powers(self, t):
+        """([t^k], [t^k as mpf]) for k below the order."""
+        powers = self._powers.get(t)
+        if powers is None:
+            exact_powers = [Fraction(1)]
+            for _ in self.spectra[1:]:
+                exact_powers.append(exact_powers[-1] * t)
+            powers = (exact_powers, [fraction_to_mpf(p) for p in exact_powers])
+            if self._keep_powers:
+                self._powers[t] = powers
+        return powers
+
+
 def evaluate_series(sol: SeriesSolution, point, ctx: PrecisionContext = PrecisionContext()):
     """Truncated series value sum(V_k(point) * t^k) with exact rational
     t-powers, accumulated in high precision."""
-    bindings = dict(point)
-    if TIME_VAR not in bindings:
-        raise UnboundVariableError("the evaluation point must bind t")
-    t = bindings.pop(TIME_VAR)
-    if isinstance(t, float):
-        raise TypeError("t must be an exact rational, not a float")
-    t = t if isinstance(t, Fraction) else Fraction(t)
-    with mpmath.workdps(ctx.working_dps):
-        exact_part = Fraction(0)
-        rounded_part = mpmath.mpf(0)
-        t_power = Fraction(1)
-        for v in sol.spectra:
-            value = eval_number(v, bindings)
-            if isinstance(value, Fraction):
-                exact_part += value * t_power
-            else:
-                rounded_part += value * fraction_to_mpf(t_power)
-            t_power *= t
-        return +(rounded_part + fraction_to_mpf(exact_part))
+    return _SeriesEvaluator(sol, ctx).series(point)
 
 
 def absolute_error_grid(
@@ -157,20 +249,24 @@ def absolute_error_grid(
 ) -> ErrorTable:
     """Grid of |series - exact|.  Requires at least 30 working digits; a cell
     whose nonzero error falls below 10^-(digits-4) cannot carry significant
-    digits and raises rather than reporting noise."""
+    digits and raises rather than reporting noise.  Spectra, t-powers and
+    atoms are evaluated once per distinct value for the whole grid."""
     if ctx.decimal_digits < 30:
         raise PrecisionInsufficientError(
             f"error grids need >= 30 working digits, got {ctx.decimal_digits}"
         )
+    check_grid_size((len(grid.row.values), len(grid.col.values)))
     floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
     exact = ex.simplify(exact)
+    axes = [((grid.row.name,), len(grid.row.values)), (grid.col_vars, len(grid.col.values))]
+    evaluator = _SeriesEvaluator(sol, ctx, axes)
     rows = []
     for tv in grid.row.values:
         row = []
         for cv in grid.col.values:
             point = grid.point(tv, cv)
-            series_value = evaluate_series(sol, point, ctx)
-            exact_value = eval_canonical(exact, point, ctx)
+            series_value = evaluator.series(point)
+            exact_value = eval_canonical(exact, point, ctx, evaluator.atoms)
             err = abs(series_value - exact_value)
             if 0 < err < floor:
                 raise PrecisionInsufficientError(
@@ -201,25 +297,33 @@ def residual_order_check(
     product of series never forms a coefficient of t^N or higher, where N is
     sol.order, so the whole-series products of the right-hand side cost
     O(N^2) coefficient products instead of running out to their full
-    t-degree.  Only when every coefficient below t^N vanishes is the
-    residual formed again without the bound, so the first nonzero
-    coefficient above it is still found.  The return value is the same as
-    that of a full expansion in every case.
+    t-degree.  Only when every coefficient below t^N vanishes, and the
+    residual's t-degree D reaches N, is it formed once more with the bound
+    D + 1, so the first nonzero coefficient above t^N is still found.  The
+    return value is the same as that of a full expansion in every case.
     """
     series = sol.to_expr()
     u_tt = ex.differentiate(series, TIME_VAR, 2)
     residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
+    degree = _first_nonvanishing(_t_coefficients(residual, sol.order), probe_points, ctx)
+    if degree is None:
+        top = _t_degree(residual)
+        if top >= sol.order:
+            degree = _first_nonvanishing(_t_coefficients(residual, top + 1), probe_points, ctx)
+    return sol.order if degree is None else degree
+
+
+def _first_nonvanishing(coefficients, probe_points, ctx):
+    """Lowest degree whose coefficient is nonzero (given probe points: at
+    least 10^-(digits-6) in magnitude at some probe), or None."""
     threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
-    for bound in (sol.order, None):
-        coefficients = _t_coefficients(residual, bound)
-        with mpmath.workdps(ctx.working_dps):
-            for degree in sorted(coefficients):
-                if probe_points and all(
-                    abs(eval_canonical(coefficients[degree], p, ctx)) < threshold for p in probe_points
-                ):
-                    continue
+    with mpmath.workdps(ctx.working_dps):
+        for degree in sorted(coefficients):
+            if not probe_points or any(
+                abs(eval_canonical(coefficients[degree], p, ctx)) >= threshold for p in probe_points
+            ):
                 return degree
-    return sol.order
+    return None
 
 
 _T = ex.Var(TIME_VAR)
@@ -227,14 +331,12 @@ _T = ex.Var(TIME_VAR)
 
 def _t_coefficients(e, bound) -> dict:
     """{degree: nonzero expanded coefficient} of e as a power series in t,
-    for the degrees below bound (every degree when bound is None).
+    for the degrees below bound.
 
     Sums add, and products and powers of sums multiply coefficient by
-    coefficient.  Every other node is a canonical leaf, already expanded:
-    t and t^n carry their degree, and any other leaf (t inside an atom
-    argument included) is a degree-0 coefficient, as collect_powers would
-    split it.  Degrees are never negative, so a product skips each pair of
-    coefficients whose degrees reach bound.
+    coefficient.  Every other node is a canonical leaf, already expanded
+    and split by _t_leaf.  Degrees are never negative, so a product skips
+    each pair of coefficients whose degrees reach bound.
     """
     if isinstance(e, ex.Sum):
         return _merge_by_degree(
@@ -247,22 +349,39 @@ def _t_coefficients(e, bound) -> dict:
     else:
         if e == ex.ZERO:
             return {}
-        if e == _T:
-            degree, coefficient = 1, ex.ONE
-        elif isinstance(e, ex.Power) and e.base == _T:
-            degree, coefficient = e.exponent, ex.ONE
-        else:
-            degree, coefficient = 0, e
-        return {degree: coefficient} if bound is None or degree < bound else {}
+        degree, coefficient = _t_leaf(e)
+        return {degree: coefficient} if degree < bound else {}
     result = factors[0]
     for factor in factors[1:]:
         result = _merge_by_degree(
             (da + db, ex.mul_expanded(ca, cb))
             for da, ca in result.items()
             for db, cb in factor.items()
-            if bound is None or da + db < bound
+            if da + db < bound
         )
     return result
+
+
+def _t_degree(e) -> int:
+    """Highest t-degree a term of e can reach, by the rules of _t_coefficients."""
+    if isinstance(e, ex.Sum):
+        return max(_t_degree(term) for term in e.terms)
+    if isinstance(e, ex.Product):
+        return sum(_t_degree(f) for f in e.factors)
+    if isinstance(e, ex.Power) and isinstance(e.base, ex.Sum):
+        return _t_degree(e.base) * e.exponent
+    return _t_leaf(e)[0]
+
+
+def _t_leaf(e) -> tuple:
+    """(degree, coefficient) of a canonical leaf: t and t^n carry their
+    degree, and any other leaf (t inside an atom argument included) is a
+    degree-0 coefficient, as collect_powers would split it."""
+    if e == _T:
+        return 1, ex.ONE
+    if isinstance(e, ex.Power) and e.base == _T:
+        return e.exponent, ex.ONE
+    return 0, e
 
 
 def _merge_by_degree(pairs) -> dict:
@@ -379,19 +498,14 @@ def export_figure_data(
 
     ``sweeps`` is a sequence of (variable, start, stop, step) with exact
     rational bounds; after applying the slice, exactly the sweep variables
-    must remain unbound.
+    must remain unbound.  As in ``absolute_error_grid``, spectra, t-powers
+    and atoms are evaluated once per distinct value for the whole sweep.
     """
     fixed = {
         name: (v if isinstance(v, Fraction) else Fraction(v))
         for name, v in dict(slice_bindings).items()
     }
-    sweep_specs = []
-    for name, start, stop, step in sweeps:
-        start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
-        if step <= 0:
-            raise GridError(f"sweep step for {name!r} must be positive")
-        sweep_specs.append((name, start, stop, step))
-
+    sweep_specs = check_sweeps(sweeps)
     needed = set(sol.spec.spatial_vars) | {TIME_VAR}
     sweep_names = [name for name, *_ in sweep_specs]
     if len(set(sweep_names)) != len(sweep_names):
@@ -409,12 +523,13 @@ def export_figure_data(
     points = [()]
     for axis in grids:
         points = [prefix + (v,) for prefix in points for v in axis]
+    evaluator = _SeriesEvaluator(sol, ctx, [((name,), len(axis)) for name, axis in zip(sweep_names, grids)])
     rows = []
     for coords in points:
         point = dict(fixed)
         point.update(zip(sweep_names, coords))
-        series_value = evaluate_series(sol, point, ctx)
-        exact_value = eval_canonical(exact, point, ctx)
+        series_value = evaluator.series(point)
+        exact_value = eval_canonical(exact, point, ctx, evaluator.atoms)
         rows.append((*coords, series_value, exact_value, abs(series_value - exact_value)))
     columns = (*sweep_names, "series", "exact", "abs_error")
     return FigureData(columns, tuple(rows))

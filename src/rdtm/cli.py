@@ -24,9 +24,12 @@ from .analysis import (
     Grid2D,
     GridAxis,
     absolute_error_grid,
+    check_grid_size,
+    check_sweeps,
     export_figure_data,
     format_scientific,
     fraction_str,
+    range_length,
     rational_range,
     render_table,
     residual_order_check,
@@ -78,13 +81,6 @@ def _range_bounds(spec: str):
     return tuple(_fraction(p) for p in parts)
 
 
-def _axis_values(spec: str):
-    start, stop, step = _range_bounds(spec)
-    if step <= 0:
-        raise GridError("step must be positive")
-    return rational_range(start, stop, step)
-
-
 def _parse_grid(text: str) -> Grid2D:
     """Grid syntax: 't=1/10:1:1/10;x=1/5:1:1/5' (or 'x,y=...' to tie several
     spatial variables to the column axis)."""
@@ -96,8 +92,13 @@ def _parse_grid(text: str) -> Grid2D:
         names, eq, range_spec = part.partition("=")
         if not eq:
             raise GridError(f"expected name=start:stop:step, got {part!r}")
-        axes.append((tuple(n.strip() for n in names.split(",")), _axis_values(range_spec)))
-    (row_names, row_values), (col_names, col_values) = axes
+        bounds = _range_bounds(range_spec)
+        if bounds[2] <= 0:
+            raise GridError("step must be positive")
+        axes.append((tuple(n.strip() for n in names.split(",")), bounds))
+    check_grid_size([range_length(*bounds) for _, bounds in axes])
+    (row_names, row_bounds), (col_names, col_bounds) = axes
+    row_values, col_values = rational_range(*row_bounds), rational_range(*col_bounds)
     if len(row_names) != 1:
         raise GridError("the row axis must be a single variable")
     tie = col_names if len(col_names) > 1 else ()
@@ -212,7 +213,7 @@ def _cmd_figure(args) -> int:
     if args.slice:
         slice_bindings = _parse_bindings(args.slice)
     if args.sweep:
-        sweeps = [_parse_sweep(s) for s in args.sweep]
+        sweeps = check_sweeps([_parse_sweep(s) for s in args.sweep])
     if not sweeps:
         raise GridError("no sweep given (use --sweep var=start:stop:step)")
     order = DEFAULT_SOLVE_ORDER if order is None else order

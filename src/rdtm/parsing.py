@@ -49,6 +49,12 @@ MAX_NESTING = 100
 # unbounded work.  The built-in models reach order 5 at most (D(u,x,5) in
 # ex2's expanded right-hand side); 20 leaves room for higher-order operators.
 MAX_DERIVATIVE_ORDER = 20
+# Most points one error table (rows x columns) or one figure sweep (the
+# product of its ranges) may have.  Every cell costs a high-precision
+# evaluation, so the size is counted from each range's start, stop and step
+# and checked before any range is enumerated.  The largest built-in or
+# benchmark grid has 41 x 41 = 1681 points; 10^5 leaves a wide margin.
+MAX_GRID_POINTS = 100_000
 
 _PUNCT = "+-*/^(),{}:;="
 

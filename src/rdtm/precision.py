@@ -3,7 +3,8 @@
 Polynomial subtrees with rational bindings are evaluated in exact rational
 arithmetic; rounding happens only where an exp/sin/cos atom forces it, via
 mpmath at the context's working precision plus guard digits.  Results are
-deterministic for fixed inputs and precision.
+deterministic for fixed inputs and precision, so a caller that evaluates
+many points may pass one atom memo to every call and get the same bits.
 """
 
 from __future__ import annotations
@@ -69,17 +70,20 @@ def _coerce_point(point) -> dict:
     return out
 
 
-def eval_number(e, point):
+def eval_number(e, point, atoms=None):
     """Evaluate a canonical expression, as given, under the current mpmath
     precision; ``eval_precise`` is the door for raw trees.
 
     Returns an exact Fraction whenever the subtree is atom-free, an mpf
-    otherwise.  ``point`` maps variable names to exact rationals.
+    otherwise.  ``point`` maps variable names to exact rationals.  ``atoms``
+    is an optional memo of atom values, keyed by (kind, argument value,
+    mpmath precision in bits); a caller that shares one dict across calls
+    computes each atom once per argument, with the same result bits.
     """
-    return _eval(e, _coerce_point(point))
+    return _eval(e, _coerce_point(point), {} if atoms is None else atoms)
 
 
-def _eval(e, point):
+def _eval(e, point, atoms):
     if isinstance(e, ex.Rational):
         return e.value
     if isinstance(e, ex.Var):
@@ -88,15 +92,19 @@ def _eval(e, point):
         except KeyError:
             raise UnboundVariableError(f"unbound variable {e.name!r}") from None
     if isinstance(e, ex.Atom):
-        argument = _eval(e.argument, point)
-        return _ATOM_FUNCTIONS[e.kind](fraction_to_mpf(argument))
+        argument = _eval(e.argument, point, atoms)
+        key = (e.kind, argument, mpmath.mp.prec)
+        value = atoms.get(key)
+        if value is None:
+            value = atoms[key] = _ATOM_FUNCTIONS[e.kind](fraction_to_mpf(argument))
+        return value
     if isinstance(e, ex.Power):
-        return _eval(e.base, point) ** e.exponent
+        return _eval(e.base, point, atoms) ** e.exponent
     if isinstance(e, ex.Product):
-        parts = [_eval(f, point) for f in e.factors]
+        parts = [_eval(f, point, atoms) for f in e.factors]
         return _combine(parts, Fraction(1), lambda a, b: a * b)
     if isinstance(e, ex.Sum):
-        parts = [_eval(t, point) for t in e.terms]
+        parts = [_eval(t, point, atoms) for t in e.terms]
         return _combine(parts, Fraction(0), lambda a, b: a + b)
     raise UnsupportedExpressionError(
         f"no numeric value for {ex.to_text(e)} (derivative symbols cannot be evaluated)"
@@ -122,11 +130,12 @@ def eval_precise(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath
     return eval_canonical(ex.simplify(e), point, ctx)
 
 
-def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
+def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext(), atoms=None) -> mpmath.mpf:
     """``eval_precise`` of a canonical expression, evaluated as given, so a
-    caller that evaluates one expression at many points simplifies it once."""
+    caller that evaluates one expression at many points simplifies it once
+    (and may share an ``atoms`` memo, as in ``eval_number``)."""
     with mpmath.workdps(ctx.working_dps):
-        value = eval_number(e, point)
+        value = eval_number(e, point, atoms)
         if isinstance(value, Fraction):
             return fraction_to_mpf(value)
         return +value

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: series oracles sum exact
 rational Taylor terms instead of calling mpmath, the convolution oracle
-walks every composition with nested loops instead of folding pairwise, and
-the residual oracle expands the whole residual instead of truncating it.
+walks every composition with nested loops instead of folding pairwise, the
+residual oracle expands the whole residual instead of truncating it, and the
+per-point series oracle evaluates every spectrum afresh at every point.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import mpmath
 
 from rdtm import expr as ex
 from rdtm.engine import substitute_derivatives
-from rdtm.precision import PrecisionContext, eval_precise
+from rdtm.precision import PrecisionContext, eval_number, eval_precise, fraction_to_mpf
 
 
 def exp_oracle(x: Fraction, digits: int = 60) -> Fraction:
@@ -124,3 +125,23 @@ def first_nonvanishing_degree(coefficients, order, probe_points=(), ctx=Precisio
                 continue
             return degree
     return order
+
+
+def lone_series_value(sol, point, ctx=PrecisionContext()):
+    """Reference for the separable evaluation in ``analysis``: the truncated
+    series at one point with nothing reused from another point.  Every
+    spectrum and every t-power is computed here; rounded terms are added in
+    increasing k and the exact ones summed as Fractions, then the two parts
+    are added and rounded once, which fixes the result bits."""
+    bindings = dict(point)
+    t = Fraction(bindings.pop("t"))
+    with mpmath.workdps(ctx.working_dps):
+        exact_part = Fraction(0)
+        rounded_part = mpmath.mpf(0)
+        for k, v in enumerate(sol.spectra):
+            value = eval_number(v, bindings)
+            if isinstance(value, Fraction):
+                exact_part += value * t**k
+            else:
+                rounded_part += value * fraction_to_mpf(t**k)
+        return +(rounded_part + fraction_to_mpf(exact_part))

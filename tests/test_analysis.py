@@ -7,15 +7,20 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import rdtm.analysis
 import rdtm.expr
+import rdtm.precision
 from rdtm.analysis import (
     Grid2D,
     GridAxis,
     absolute_error_grid,
+    check_grid_size,
     evaluate_series,
     export_figure_data,
     format_scientific,
     fraction_str,
+    range_length,
+    rational_range,
     render_table,
     residual_order_check,
     taylor_coefficient,
@@ -23,12 +28,18 @@ from rdtm.analysis import (
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
 from rdtm.expr import ZERO, Product, Sum, Var, addends, deriv_sym, rational, simplify, to_text
-from rdtm.models import DEFAULT_TABLE_GRID, ModelId
-from rdtm.parsing import parse_expr
-from rdtm.precision import PrecisionContext, fraction_to_mpf
+from rdtm.models import DEFAULT_TABLE_GRID, ModelId, builtin_model
+from rdtm.parsing import MAX_GRID_POINTS, parse_expr
+from rdtm.precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 from rdtm.specfile import parse_spec_file
 
-from oracles import first_nonvanishing_degree, full_expansion_residual, sin_oracle, sin_partial_sum
+from oracles import (
+    first_nonvanishing_degree,
+    full_expansion_residual,
+    lone_series_value,
+    sin_oracle,
+    sin_partial_sum,
+)
 
 CTX = PrecisionContext(50)
 
@@ -118,6 +129,92 @@ class TestErrorGrid:
         export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
         assert calls[0] == 1
 
+    def test_spectra_and_atoms_are_evaluated_once_per_value(self, monkeypatch, solved):
+        """On a 10x10 ex1 table and a 10x10 figure there are 10 distinct
+        spatial points, so the 8 spectra are evaluated 80 times, not once per
+        cell (800), and no atom is computed twice for the same argument (the
+        per-cell path recomputed exp(x*y) in every spectrum of every cell)."""
+        spec, sol = solved(ModelId.EX1, 8)
+        spectra = {id(v) for v in sol.spectra}
+        evaluations = [0]
+        atom_calls = []
+        original = rdtm.analysis.eval_number
+
+        def counting(e, point, atoms=None):
+            evaluations[0] += id(e) in spectra
+            return original(e, point, atoms)
+
+        def recording(kind, fn):
+            return lambda argument: atom_calls.append((kind, argument)) or fn(argument)
+
+        monkeypatch.setattr(rdtm.analysis, "eval_number", counting)
+        for kind, fn in list(rdtm.precision._ATOM_FUNCTIONS.items()):
+            monkeypatch.setitem(rdtm.precision._ATOM_FUNCTIONS, kind, recording(kind, fn))
+        tenths = [F(i, 10) for i in range(1, 11)]
+        grid = Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y"))
+        sweeps = [("x", F(1, 10), 1, F(1, 10)), ("t", F(1, 10), 1, F(1, 10))]
+        for run in (
+            lambda: absolute_error_grid(sol, spec.exact, grid, CTX),
+            lambda: export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX),
+        ):
+            evaluations[0] = 0
+            atom_calls.clear()
+            run()
+            assert evaluations[0] == 10 * 8
+            assert 0 < len(atom_calls) <= len(set(atom_calls))
+
+    def test_values_are_kept_only_where_they_recur(self, monkeypatch, solved):
+        """With t fixed no spatial point comes back, and with only t swept no
+        t comes back, so those values are not kept: such a memo would grow
+        with the sweep and serve nothing."""
+        spec, sol = solved(ModelId.EX1, 8)
+        evaluators = []
+        original = rdtm.analysis._SeriesEvaluator
+
+        def recording(*args):
+            evaluators.append(original(*args))
+            return evaluators[-1]
+
+        monkeypatch.setattr(rdtm.analysis, "_SeriesEvaluator", recording)
+        tenths = (F(1, 10), 1, F(1, 10))
+        cases = [
+            ({"t": F(1, 2)}, [("x", *tenths), ("y", *tenths)], (0, 1)),
+            ({"x": F(1, 2), "y": F(1, 3)}, [("t", *tenths)], (1, 0)),
+            ({"y": F(1, 2)}, [("x", *tenths), ("t", *tenths)], (10, 10)),
+        ]
+        for fixed, sweeps, kept in cases:
+            export_figure_data(sol, spec.exact, fixed, sweeps, CTX)
+            assert (len(evaluators[-1]._terms), len(evaluators[-1]._powers)) == kept, sweeps
+        tenths = rational_range(*tenths)
+        absolute_error_grid(sol, spec.exact, Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y")), CTX)
+        assert (len(evaluators[-1]._terms), len(evaluators[-1]._powers)) == (10, 10)
+
+    def test_floor_error_names_the_same_cell_on_a_dense_grid(self, solved):
+        """ex3 at order 20 on a dense 40x40 grid at 50 digits: the first cell,
+        scanning rows in order, whose error is below the floor is named."""
+        spec, sol = solved(ModelId.EX3, 20)
+        grid = Grid2D(
+            GridAxis("t", rational_range(F(9, 470), F(399, 470), F(1, 47))),
+            GridAxis("x", rational_range(F(4, 235), F(199, 235), F(1, 47))),
+        )
+        with pytest.raises(PrecisionInsufficientError) as err:
+            absolute_error_grid(sol, spec.exact, grid, CTX)
+        assert str(err.value) == (
+            "cell (9/470, 4/235): error is below the certifiable floor 1e-46; "
+            "raise the working precision"
+        )
+
+    def test_floor_error_is_raised_in_row_major_order(self, solved):
+        """Rows t = 1/20, 1/2 and columns x = 0, 1/1000: the error is zero at
+        x = 0 and below the floor at (1/20, 1/1000), which row-major order
+        reaches before (1/2, 0); every cell of the first row is checked
+        before any of the second."""
+        spec, sol = solved(ModelId.EX3, 20)
+        grid = Grid2D(GridAxis("t", (F(1, 20), F(1, 2))), GridAxis("x", (F(0), F(1, 1000))))
+        with pytest.raises(PrecisionInsufficientError) as err:
+            absolute_error_grid(sol, spec.exact, grid, CTX)
+        assert str(err.value).startswith("cell (0.05, 0.001):")
+
     def test_grid_must_increase(self):
         with pytest.raises(GridError):
             GridAxis("t", (F(1), F(1)))
@@ -172,6 +269,152 @@ class TestErrorGrid:
                 assert format_scientific(va, 6) == format_scientific(vb, 6)
 
 
+MIXED_PDE = """
+pde "mixed" {
+  vars: x;
+  equation: D(u,t,2) = -u;
+  init: x^2;  init_t: exp(x);  exact: x^2*cos(t) + exp(x)*sin(t);
+}
+"""
+
+
+def lone_cell(sol, exact, point, ctx):
+    """(series, exact, |series - exact|) at one point evaluated alone: the
+    public per-point entry points, with the series also checked against the
+    oracle that reuses nothing."""
+    series = evaluate_series(sol, point, ctx)
+    assert series == lone_series_value(sol, point, ctx)
+    value = eval_canonical(exact, point, ctx)
+    return series, value, abs(series - value)
+
+
+def assert_table_is_bit_identical(sol, exact, grid, ctx):
+    table = absolute_error_grid(sol, exact, grid, ctx)
+    exact = simplify(exact)
+    for rv, row in zip(grid.row.values, table.values):
+        for cv, got in zip(grid.col.values, row):
+            assert got == lone_cell(sol, exact, grid.point(rv, cv), ctx)[2], (rv, cv)
+    return table
+
+
+def assert_figure_is_bit_identical(sol, exact, slice_bindings, sweeps, ctx):
+    data = export_figure_data(sol, exact, slice_bindings, sweeps, ctx)
+    exact = simplify(exact)
+    names = data.columns[:-3]
+    assert data.rows
+    for row in data.rows:
+        point = dict(slice_bindings)
+        point.update(zip(names, row[:-3]))
+        assert row[-3:] == lone_cell(sol, exact, point, ctx), point
+    return data
+
+
+class TestSeparableEvaluation:
+    """Grids and figures reuse spectrum, t-power and atom values across
+    cells; every cell must still equal (mpf ==) the value of its point
+    evaluated alone."""
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_reference_grids(self, model, solved):
+        spec, sol = solved(model, {ModelId.EX1: 8, ModelId.EX2: 16, ModelId.EX3: 20}[model])
+        assert_table_is_bit_identical(sol, spec.exact, default_grid(model), CTX)
+
+    def test_seeded_grid(self, solved):
+        rng = random.Random(12)
+        spec, sol = solved(ModelId.EX1, 8)
+        rows, cols = (tuple(F(i, 200) for i in sorted(rng.sample(range(10, 201), 12))) for _ in range(2))
+        grid = Grid2D(GridAxis("t", rows), GridAxis("x", cols), ("x", "y"))
+        assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
+
+    def test_transposed_grid(self, solved):
+        spec, sol = solved(ModelId.EX3, 10)
+        grid = Grid2D(GridAxis("x", rational_range(F(1, 4), 2, F(1, 4))), GridAxis("t", rational_range(F(1, 5), 1, F(1, 5))))
+        assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
+
+    def test_two_variable_sweep(self, solved):
+        spec, sol = solved(ModelId.EX1, 6)
+        sweeps = [("x", 0, 1, F(1, 10)), ("t", 0, 1, F(1, 10))]
+        assert_figure_is_bit_identical(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+
+    def test_spectra_mixing_exact_and_rounded_values(self):
+        spec = parse_spec_file(MIXED_PDE)
+        sol = solve_series(spec, 8)
+        with mpmath.workdps(CTX.working_dps):
+            kinds = {type(eval_number(v, {"x": F(1, 3)})) for v in sol.spectra}
+        assert kinds == {F, mpmath.mpf}
+        grid = Grid2D(GridAxis("t", rational_range(F(1, 10), 1, F(1, 10))), GridAxis("x", rational_range(-1, 1, F(1, 4))))
+        assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
+        sweeps = [("t", 0, 1, F(1, 5)), ("x", -1, 1, F(1, 3))]
+        assert_figure_is_bit_identical(sol, spec.exact, {}, sweeps, CTX)
+
+    def test_same_grid_at_two_precisions(self, solved):
+        """Atom values at one precision must not serve another: run at 50
+        digits, then at 80, and compare each with its own lone cells."""
+        spec, sol = solved(ModelId.EX3, 20)
+        sweeps = [("t", 0, 1, F(1, 10))]
+        figures = []
+        for digits in (50, 80):
+            ctx = PrecisionContext(digits)
+            assert_table_is_bit_identical(sol, spec.exact, default_grid(ModelId.EX3), ctx)
+            figures.append(assert_figure_is_bit_identical(sol, spec.exact, {"x": F(1, 2)}, sweeps, ctx))
+        assert any(a[2] != b[2] for a, b in zip(*(f.rows for f in figures)))
+
+
+class TestGridSize:
+    def test_range_length_matches_enumeration(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            start, stop = (F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2))
+            step = F(rng.randint(1, 9), rng.randint(1, 9))
+            assert range_length(start, stop, step) == len(rational_range(start, stop, step))
+
+    def test_limit(self):
+        check_grid_size([MAX_GRID_POINTS])
+        check_grid_size([100, MAX_GRID_POINTS // 100])
+        for lengths in (
+            [MAX_GRID_POINTS + 1],
+            [11, (MAX_GRID_POINTS + 1) // 11],
+            [10**9, 10**9],
+            [0, MAX_GRID_POINTS + 1],
+            [MAX_GRID_POINTS + 1, 0],
+        ):
+            with pytest.raises(GridError, match="more than the limit"):
+                check_grid_size(lengths)
+
+    def test_oversized_sweep_is_refused_before_enumeration(self, monkeypatch, solved):
+        spec, sol = solved(ModelId.EX3, 10)
+
+        def refuse(*args):
+            raise AssertionError("a range of the rejected size was enumerated")
+
+        monkeypatch.setattr(rdtm.analysis, "rational_range", refuse)
+        with pytest.raises(GridError, match="10000001 points"):
+            export_figure_data(sol, spec.exact, {"x": F(1, 2)}, [("t", 0, 1, F(1, 10**7))], CTX)
+
+    def test_empty_sweep_does_not_admit_an_oversized_one(self, monkeypatch, solved):
+        spec, sol = solved(ModelId.EX3, 10)
+
+        def refuse(*args):
+            raise AssertionError("a range of the rejected size was enumerated")
+
+        monkeypatch.setattr(rdtm.analysis, "rational_range", refuse)
+        sweeps = [("t", 1, 0, 1), ("x", 0, 1, F(1, 10**10))]
+        with pytest.raises(GridError, match="an axis has 10000000001 points"):
+            export_figure_data(sol, spec.exact, {}, sweeps, CTX)
+
+    def test_oversized_table_is_refused_before_evaluation(self, monkeypatch, solved):
+        spec, sol = solved(ModelId.EX3, 10)
+
+        def refuse(*args):
+            raise AssertionError("a cell of the rejected grid was evaluated")
+
+        monkeypatch.setattr(rdtm.analysis, "eval_number", refuse)
+        rows = rational_range(1, 11, 1)
+        cols = rational_range(1, (MAX_GRID_POINTS + 1) // 11, 1)
+        with pytest.raises(GridError, match=f"{MAX_GRID_POINTS + 1} points"):
+            absolute_error_grid(sol, spec.exact, Grid2D(GridAxis("t", rows), GridAxis("x", cols)), CTX)
+
+
 class TestResidualOrder:
     def test_contract_instances(self, solved):
         spec3, sol3 = solved(ModelId.EX3, 10)
@@ -198,6 +441,8 @@ GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" 
 # order 8 the residual's first nonzero coefficient (t^5) can lie at or above
 # the truncation order.
 PAST_ORDER_PDE = 'pde "past" { vars: x; equation: D(u,t,2) = x*t^5; init: 0; init_t: 0; }'
+# From order 3 on the series -t^2/2 is exact and the residual is zero.
+CONSTANT_PDE = 'pde "constant" { vars: x; equation: D(u,t,2) = -1; init: 0; init_t: 0; }'
 
 
 def _probe_sets(spec):
@@ -269,6 +514,39 @@ class TestTruncatedResidual:
         sol = solve_series(spec, order)
         assert residual_order_check(spec, sol) == vanish
         assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 8])
+    def test_exact_series_matches_full_expansion(self, order):
+        spec = parse_spec_file(CONSTANT_PDE)
+        assert_matches_full_expansion(spec, solve_series(spec, order))
+
+    @pytest.mark.parametrize("problem, order, probes, vanish, bounds", [
+        # every coefficient of ex3's residual has the factor x^2, but its
+        # t-degree is order - 1, so the first walk already covers it
+        ("ex3", 10, [{"x": F(0)}], 10, {10}),
+        (CONSTANT_PDE, 5, [], 5, {5}),
+        # the series is 0 and the residual -x*t^5, of t-degree 5, so the one
+        # more walk has the bound 6 whatever the order
+        (PAST_ORDER_PDE, 3, [], 5, {3, 6}),
+        (PAST_ORDER_PDE, 2, [], 5, {2, 6}),
+    ], ids=["ex3-probe-origin", "constant", "past-order3", "past-order2"])
+    def test_fallback_walks_once_to_the_t_degree(self, monkeypatch, problem, order, probes, vanish, bounds):
+        """When every coefficient below the order vanishes, the residual is
+        walked once more, with the bound its t-degree + 1, and only if that
+        degree reaches the order; no walk is unbounded."""
+        spec = builtin_model(ModelId(problem)) if problem == "ex3" else parse_spec_file(problem)
+        sol = solve_series(spec, order)
+        assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order, probes, CTX) == vanish
+        seen = set()
+        original = rdtm.analysis._t_coefficients
+
+        def recording(e, bound):
+            seen.add(bound)
+            return original(e, bound)
+
+        monkeypatch.setattr(rdtm.analysis, "_t_coefficients", recording)
+        assert residual_order_check(spec, sol, probes, CTX) == vanish
+        assert seen == bounds
 
     def test_products_stop_at_the_truncation_order(self, monkeypatch):
         """Monomial pairs multiplied during the check of growing.pde at order

@@ -3,10 +3,13 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
+import rdtm.cli
 from rdtm.cli import main
 from rdtm.analysis import evaluate_series
 from rdtm.models import ModelId
-from rdtm.parsing import MAX_DERIVATIVE_ORDER, parse_expr
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, parse_expr
 from rdtm.precision import PrecisionContext, eval_precise
 
 EX3_TEXT = """
@@ -219,8 +222,81 @@ def test_malformed_ranges_are_clean_errors(capsys):
         (("table", "ex3", "--grid", "t=0:1:1/2;x=0:q:1/2"), "error: not an exact rational: 'q'"),
         (("figure", "ex3", "--sweep", "t=0:q:1/2"), "error: not an exact rational: 'q'"),
         (("table", "ex3", "--grid", "t=0:1:0;x=0:1:1/2"), "error: step must be positive"),
+        (("figure", "ex3", "--sweep", "t=0:1:-1/2"), "error: sweep step for 't' must be positive"),
         (("figure", "ex3", "--sweep", "t0:1:1/2"), "error: expected name=start:stop:step, got 't0:1:1/2'"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message + "\n"), argv
+
+
+class WorkStarted(Exception):
+    """Raised by the stubs below the moment a command would start computing."""
+
+
+def _refuse_work(monkeypatch):
+    """Make the solver, and the range enumeration, raise WorkStarted, so a
+    size test never starts a run or builds an axis of the size it checks."""
+
+    def refuse(*args):
+        raise WorkStarted
+
+    monkeypatch.setattr(rdtm.cli, "solve_series", refuse)
+    monkeypatch.setattr(rdtm.cli, "rational_range", refuse)
+
+
+# (rows, cols) and sweep lengths with exactly MAX_GRID_POINTS and one more
+# point; 100001 = 11 * 9091.
+AT_LIMIT = (100, MAX_GRID_POINTS // 100)
+OVER_LIMIT = (11, (MAX_GRID_POINTS + 1) // 11)
+assert AT_LIMIT[0] * AT_LIMIT[1] == MAX_GRID_POINTS
+assert OVER_LIMIT[0] * OVER_LIMIT[1] == MAX_GRID_POINTS + 1
+
+
+def _grid(rows, cols):
+    return f"t=1:{rows}:1;x=1/{cols}:1:1/{cols}"
+
+
+def _sweeps(rows, cols):
+    return ("--sweep", f"t=1:{rows}:1", "--sweep", f"x=1/{cols}:1:1/{cols}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "ex3", "--grid", _grid(*AT_LIMIT)),
+    ("figure", "ex1", "--slice", "y=0", *_sweeps(*AT_LIMIT)),
+])
+def test_grid_at_the_size_limit_is_accepted(monkeypatch, argv):
+    _refuse_work(monkeypatch)
+    with pytest.raises(WorkStarted):
+        main(list(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "ex3", "--grid", _grid(*OVER_LIMIT)),
+    ("figure", "ex1", "--slice", "y=0", *_sweeps(*OVER_LIMIT)),
+])
+def test_grid_over_the_size_limit_is_a_clean_error(monkeypatch, capsys, argv):
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    message = f"error: grid has {MAX_GRID_POINTS + 1} points, more than the limit of {MAX_GRID_POINTS}\n"
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "ex3", "--grid", f"t=1:0:1;x=1/{MAX_GRID_POINTS + 1}:1:1/{MAX_GRID_POINTS + 1}"),
+    ("figure", "ex1", "--slice", "y=0", "--sweep", "t=1:0:1",
+     "--sweep", f"x=1/{MAX_GRID_POINTS + 1}:1:1/{MAX_GRID_POINTS + 1}"),
+])
+def test_an_empty_axis_does_not_admit_an_oversized_one(monkeypatch, capsys, argv):
+    """The grid has no points, but the other axis would still be built."""
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    message = f"error: an axis has {MAX_GRID_POINTS + 1} points, more than the limit of {MAX_GRID_POINTS}\n"
+    assert (code, out, err) == (1, "", message)
+
+
+def test_a_tiny_sweep_step_is_refused_before_the_solve(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, "figure", "ex3", "--slice", "x=1/2", "--sweep", "t=0:1:1/10000000")
+    assert code == 1 and out == ""
+    assert err == f"error: grid has 10000001 points, more than the limit of {MAX_GRID_POINTS}\n"
