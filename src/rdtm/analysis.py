@@ -75,12 +75,30 @@ def check_sweeps(sweeps) -> list:
     step is positive and the cartesian sweep is within MAX_GRID_POINTS."""
     specs = []
     for name, start, stop, step in sweeps:
-        start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+        start, stop, step = _as_fractions((start, stop, step))
         if step <= 0:
             raise GridError(f"sweep step for {name!r} must be positive")
         specs.append((name, start, stop, step))
     check_grid_size([range_length(start, stop, step) for _, start, stop, step in specs])
     return specs
+
+
+def _check_bindings(spatial_vars, swept, fixed=()) -> None:
+    """Reject points that bind a variable twice, bind one the problem does
+    not have, or leave t or a spatial variable unbound.  ``swept`` names the
+    variables that vary across the points and ``fixed`` those held at one
+    value."""
+    swept, fixed = list(swept), set(fixed)
+    if len(set(swept)) != len(swept):
+        raise GridError("duplicate sweep variable")
+    if fixed & set(swept):
+        raise GridError("slice and sweep bind the same variable (over-constrained)")
+    needed = set(spatial_vars) | {TIME_VAR}
+    bound = fixed | set(swept)
+    if bound - needed:
+        raise GridError(f"unknown variables {sorted(bound - needed)}")
+    if needed - bound:
+        raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
 
 
 def _as_fractions(values):
@@ -256,6 +274,7 @@ def absolute_error_grid(
             f"error grids need >= 30 working digits, got {ctx.decimal_digits}"
         )
     check_grid_size((len(grid.row.values), len(grid.col.values)))
+    _check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
     floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
     exact = ex.simplify(exact)
     axes = [((grid.row.name,), len(grid.row.values)), (grid.col_vars, len(grid.col.values))]
@@ -279,19 +298,13 @@ def absolute_error_grid(
     return ErrorTable(grid, tuple(rows), sol.order, ctx.decimal_digits)
 
 
-def residual_order_check(
-    spec,
-    sol: SeriesSolution,
-    probe_points=(),
-    ctx: PrecisionContext = PrecisionContext(),
-) -> int:
+def residual_order_check(spec, sol: SeriesSolution) -> int:
     """Vanishing order of the residual u_tt - rhs at the truncated series.
 
     Returns the index of the first t-Maclaurin coefficient of the residual
-    that does not vanish: symbolically by default, or (given probe points)
-    numerically below 10^-(digits-6) at every probe.  A solution of order N
-    must yield at least N-2 (so always >= N-3); returns sol.order when the
-    residual is identically zero through its whole t-degree.
+    that does not vanish, exactly.  A solution of order N must yield at
+    least N-2 (so always >= N-3); returns sol.order when the residual is
+    identically zero through its whole t-degree.
 
     The residual's coefficients are formed in t-truncated arithmetic: a
     product of series never forms a coefficient of t^N or higher, where N is
@@ -305,25 +318,12 @@ def residual_order_check(
     series = sol.to_expr()
     u_tt = ex.differentiate(series, TIME_VAR, 2)
     residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
-    degree = _first_nonvanishing(_t_coefficients(residual, sol.order), probe_points, ctx)
+    degree = min(_t_coefficients(residual, sol.order), default=None)
     if degree is None:
         top = _t_degree(residual)
         if top >= sol.order:
-            degree = _first_nonvanishing(_t_coefficients(residual, top + 1), probe_points, ctx)
+            degree = min(_t_coefficients(residual, top + 1), default=None)
     return sol.order if degree is None else degree
-
-
-def _first_nonvanishing(coefficients, probe_points, ctx):
-    """Lowest degree whose coefficient is nonzero (given probe points: at
-    least 10^-(digits-6) in magnitude at some probe), or None."""
-    threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
-    with mpmath.workdps(ctx.working_dps):
-        for degree in sorted(coefficients):
-            if not probe_points or any(
-                abs(eval_canonical(coefficients[degree], p, ctx)) >= threshold for p in probe_points
-            ):
-                return degree
-    return None
 
 
 _T = ex.Var(TIME_VAR)
@@ -392,12 +392,12 @@ def _merge_by_degree(pairs) -> dict:
     return {degree: c for degree, c in merged.items() if c != ex.ZERO}
 
 
-def taylor_coefficient(e, k: int, var: str = TIME_VAR) -> ex.Expr:
-    """k-th Taylor coefficient of e around var = 0: the k-fold derivative at
+def taylor_coefficient(e, k: int) -> ex.Expr:
+    """k-th Taylor coefficient of e around t = 0: the k-fold derivative at
     zero divided by k! (the transform applied to a closed-form expression)."""
-    d = ex.differentiate(e, var, k)
+    d = ex.differentiate(e, TIME_VAR, k)
     return ex.simplify(
-        ex.Product((ex.rational(1, math.factorial(k)), ex.substitute(d, {var: 0})))
+        ex.Product((ex.rational(1, math.factorial(k)), ex.substitute(d, {TIME_VAR: 0})))
     )
 
 
@@ -497,26 +497,16 @@ def export_figure_data(
     fixed by the slice: (sweep values..., series, exact, abs error).
 
     ``sweeps`` is a sequence of (variable, start, stop, step) with exact
-    rational bounds; after applying the slice, exactly the sweep variables
-    must remain unbound.  As in ``absolute_error_grid``, spectra, t-powers
+    rational bounds, and slice values are exact rationals too (a float is a
+    GridError); after applying the slice, exactly the sweep variables must
+    remain unbound.  As in ``absolute_error_grid``, spectra, t-powers
     and atoms are evaluated once per distinct value for the whole sweep.
     """
-    fixed = {
-        name: (v if isinstance(v, Fraction) else Fraction(v))
-        for name, v in dict(slice_bindings).items()
-    }
+    slice_bindings = dict(slice_bindings)
+    fixed = dict(zip(slice_bindings, _as_fractions(slice_bindings.values())))
     sweep_specs = check_sweeps(sweeps)
-    needed = set(sol.spec.spatial_vars) | {TIME_VAR}
     sweep_names = [name for name, *_ in sweep_specs]
-    if len(set(sweep_names)) != len(sweep_names):
-        raise GridError("duplicate sweep variable")
-    bound = set(fixed) | set(sweep_names)
-    if set(fixed) & set(sweep_names):
-        raise GridError("slice and sweep bind the same variable (over-constrained)")
-    if bound - needed:
-        raise GridError(f"unknown variables {sorted(bound - needed)}")
-    if needed - bound:
-        raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
+    _check_bindings(sol.spec.spatial_vars, sweep_names, fixed)
 
     exact = ex.simplify(exact)
     grids = [rational_range(start, stop, step) for _, start, stop, step in sweep_specs]

@@ -193,9 +193,7 @@ def _cmd_table(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    style = {"text": "plain", "plain": "plain", "csv": "csv", "latex": "latex"}.get(args.format)
-    if style is None:
-        raise RdtmError(f"table cannot be rendered as {args.format!r}")
+    style = "plain" if args.format == "text" else args.format
     _emit(render_table(table, style, args.sig_digits), args.out)
     return 0
 
@@ -239,13 +237,13 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _check_report(spec, order, ctx):
+def _check_report(spec, order):
     """Run the verification pair: residual order and closed-form agreement.
     Returns (list of report lines, ok flag)."""
     sol = solve_series(spec, order)
     lines = []
     ok = True
-    vanish = residual_order_check(spec, sol, ctx=ctx)
+    vanish = residual_order_check(spec, sol)
     if vanish >= order - 2:
         lines.append(f"residual vanishes through t^{vanish - 1} (order {order} needs t^{order - 3})")
     else:
@@ -274,8 +272,7 @@ def _check_report(spec, order, ctx):
 def _cmd_check(args) -> int:
     spec, _ = _load_problem(args.problem)
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
-    ctx = PrecisionContext(args.precision)
-    lines, ok = _check_report(spec, order, ctx)
+    lines, ok = _check_report(spec, order)
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
@@ -291,7 +288,7 @@ def _cmd_demo(args) -> int:
         sol = solve_series(spec, order)
         for k in (0, 1, 2, 3):
             out_lines.append(f"   V_{k} = {ex.to_text(sol.spectra[k])}")
-        check_lines, ok = _check_report(spec, min(order, 10), ctx)
+        check_lines, ok = _check_report(spec, min(order, 10))
         all_ok = all_ok and ok
         out_lines.extend("   " + line for line in check_lines)
         t_values, col_values, tie = DEFAULT_TABLE_GRID[model]
@@ -311,73 +308,68 @@ def _cmd_demo(args) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as InvalidOptionError, so they end like any other
+    bad input: one 'error:' line and exit status 1."""
+
+    def error(self, message):
+        raise InvalidOptionError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdtm",
         description="Spectral series solver for second-order-in-time wave-like PDEs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_problem=True):
-        if with_problem:
-            p.add_argument("problem", help="built-in model id (ex1, ex2, ex3) or problem-file path")
-        p.add_argument("--order", type=int, default=None, help="number of spectra to compute")
-        p.add_argument("--precision", type=int, default=50, help="working precision in decimal digits")
-        p.add_argument(
-            "--format",
-            default="text",
-            choices=("text", "plain", "latex", "csv", "json"),
-            help="output format",
-        )
-        p.add_argument("--sig-digits", type=int, default=5, help=f"significant digits in numeric output (1-{MAX_SIG_DIGITS})")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-    p_solve = sub.add_parser("solve", help="print the spectra and the truncated series")
-    add_common(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_table = sub.add_parser("table", help="absolute-error table against the exact solution")
-    add_common(p_table)
-    p_table.add_argument(
-        "--grid",
-        default=None,
-        help="grid as 't=start:stop:step;x=start:stop:step' (tie variables with 'x,y=...')",
-    )
-    p_table.set_defaults(func=_cmd_table)
-
-    p_figure = sub.add_parser("figure", help="columnar sweep data for plotting")
-    add_common(p_figure)
-    p_figure.add_argument("--slice", default=None, help="fixed bindings, e.g. 'y=1/2'")
-    p_figure.add_argument(
-        "--sweep",
-        action="append",
-        default=None,
-        help="sweep as var=start:stop:step (repeatable)",
-    )
-    p_figure.set_defaults(func=_cmd_figure)
-
-    p_check = sub.add_parser("check", help="residual and closed-form verification; nonzero exit on failure")
-    add_common(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_demo = sub.add_parser("demo", help="run all built-in models end to end")
-    add_common(p_demo, with_problem=False)
-    p_demo.set_defaults(func=_cmd_demo)
-
+    options = {
+        "problem": {"help": "built-in model id (ex1, ex2, ex3) or problem-file path"},
+        "--order": {"type": int, "help": "number of spectra to compute"},
+        "--grid": {"help": "grid as 't=start:stop:step;x=start:stop:step' (tie variables with 'x,y=...')"},
+        "--slice": {"help": "fixed bindings, e.g. 'y=1/2'"},
+        "--sweep": {"action": "append", "help": "sweep as var=start:stop:step (repeatable)"},
+        "--precision": {"type": int, "default": 50, "help": "working precision in decimal digits"},
+        "--sig-digits": {
+            "type": int, "default": 5, "help": f"significant digits in numeric output (1-{MAX_SIG_DIGITS})"
+        },
+        "--out": {"help": "write output to this path instead of stdout"},
+    }
+    text_formats = ("text", "latex", "csv", "json")
+    # Each subcommand declares only the options its handler reads; a tuple
+    # stands for --format with those choices, the first being the default.
+    for name, func, help_text, flags in (
+        ("solve", _cmd_solve, "print the spectra and the truncated series",
+         ("problem", "--order", text_formats, "--out")),
+        ("table", _cmd_table, "absolute-error table against the exact solution",
+         ("problem", "--order", "--grid", "--precision", text_formats, "--sig-digits", "--out")),
+        ("figure", _cmd_figure, "columnar sweep data for plotting",
+         ("problem", "--order", "--slice", "--sweep", "--precision", ("csv", "json"), "--sig-digits", "--out")),
+        ("check", _cmd_check, "residual and closed-form verification; nonzero exit on failure",
+         ("problem", "--order", "--out")),
+        ("demo", _cmd_demo, "run all built-in models end to end", ("--precision", "--out")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            if isinstance(flag, tuple):
+                p.add_argument("--format", default=flag[0], choices=flag, help="output format")
+            else:
+                p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def _check_options(args):
     """Reject out-of-range numeric options before any work starts."""
-    if not 1 <= args.sig_digits <= MAX_SIG_DIGITS:
+    given = vars(args)
+    if "sig_digits" in given and not 1 <= args.sig_digits <= MAX_SIG_DIGITS:
         raise InvalidOptionError(f"--sig-digits must be between 1 and {MAX_SIG_DIGITS}, got {args.sig_digits}")
-    if args.precision < MIN_DECIMAL_DIGITS:
+    if "precision" in given and args.precision < MIN_DECIMAL_DIGITS:
         raise InvalidOptionError(f"--precision must be at least {MIN_DECIMAL_DIGITS} digits, got {args.precision}")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_options(args)
         return args.func(args)
     except (RdtmError, OSError) as err:

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedCoefficientError,
     UnsupportedStructureError,
 )
-from .parsing import RESERVED_NAMES, TIME_VAR
+from .parsing import MAX_ORDER, RESERVED_NAMES, TIME_VAR
 
 __all__ = [
     "SOURCE",
@@ -325,6 +325,8 @@ def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
     """Run the recurrence to produce spectra V_0..V_{order-1}."""
     if not isinstance(order, int) or order < 2:
         raise InvalidOrderError(f"truncation order must be an integer >= 2, got {order!r}")
+    if order > MAX_ORDER:
+        raise InvalidOrderError(f"truncation order {order} is more than the limit of {MAX_ORDER}")
     # V_0 and V_1 are the initial data (the 1/k! factors are 1 for k <= 1)
     state = RecurrenceState(compile_recurrence(spec), (spec.init_u, spec.init_ut))
     for _ in range(order - 2):

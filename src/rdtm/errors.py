@@ -41,7 +41,8 @@ class UnboundVariableError(RdtmError):
 
 
 class InvalidOrderError(RdtmError):
-    """Requested truncation order is too small (at least two spectra are needed)."""
+    """Requested truncation order is below 2 (at least two spectra are needed)
+    or above parsing.MAX_ORDER."""
 
 
 class InvalidOptionError(RdtmError):
@@ -53,4 +54,4 @@ class PrecisionInsufficientError(RdtmError):
 
 
 class GridError(RdtmError):
-    """Malformed evaluation grid or an over/under-constrained figure slice."""
+    """Malformed evaluation grid or sweep, or one whose bindings are over- or under-constrained."""

@@ -55,6 +55,11 @@ MAX_DERIVATIVE_ORDER = 20
 # and checked before any range is enumerated.  The largest built-in or
 # benchmark grid has 41 x 41 = 1681 points; 10^5 leaves a wide margin.
 MAX_GRID_POINTS = 100_000
+# Highest truncation order (number of spectra) a solve may ask for.  A solve
+# costs O(order^2) Cauchy products of spectra that grow with the order, so
+# the bound is checked before anything is compiled.  The paper's deepest
+# reference table uses order 20 and the deepest benchmark solve order 30.
+MAX_ORDER = 100
 
 _PUNCT = "+-*/^(),{}:;="
 

@@ -15,7 +15,7 @@ import mpmath
 
 from rdtm import expr as ex
 from rdtm.engine import substitute_derivatives
-from rdtm.precision import PrecisionContext, eval_number, eval_precise, fraction_to_mpf
+from rdtm.precision import PrecisionContext, eval_number, fraction_to_mpf
 
 
 def exp_oracle(x: Fraction, digits: int = 60) -> Fraction:
@@ -111,18 +111,12 @@ def full_expansion_residual(spec, sol) -> dict:
     return ex.collect_powers(residual, "t")
 
 
-def first_nonvanishing_degree(coefficients, order, probe_points=(), ctx=PrecisionContext()) -> int:
+def first_nonvanishing_degree(coefficients, order) -> int:
     """The vanishing order that ``residual_order_check`` must report for these
-    residual coefficients: the lowest degree whose coefficient is nonzero
-    (given probe points, numerically at one of them), else the series order."""
-    threshold = mpmath.mpf(10) ** -(ctx.decimal_digits - 6)
-    with mpmath.workdps(ctx.working_dps):
-        for degree in sorted(coefficients):
-            c = coefficients[degree]
-            if c == ex.ZERO:
-                continue
-            if probe_points and all(abs(eval_precise(c, p, ctx)) < threshold for p in probe_points):
-                continue
+    residual coefficients: the lowest degree whose coefficient is nonzero,
+    else the series order."""
+    for degree in sorted(coefficients):
+        if coefficients[degree] != ex.ZERO:
             return degree
     return order
 

@@ -28,7 +28,7 @@ from rdtm.analysis import (
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
 from rdtm.expr import ZERO, Product, Sum, Var, addends, deriv_sym, rational, simplify, to_text
-from rdtm.models import DEFAULT_TABLE_GRID, ModelId, builtin_model
+from rdtm.models import DEFAULT_TABLE_GRID, ModelId
 from rdtm.parsing import MAX_GRID_POINTS, parse_expr
 from rdtm.precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 from rdtm.specfile import parse_spec_file
@@ -224,6 +224,19 @@ class TestErrorGrid:
     def test_float_grid_rejected(self):
         with pytest.raises(GridError):
             GridAxis("t", (0.1, 0.2))
+
+    @pytest.mark.parametrize("col, tie, message", [
+        # the tied column would override the row's t in every cell
+        ("t", ("t", "x"), "duplicate sweep variable"),
+        ("z", (), r"unknown variables \['z'\]"),
+        ("x", ("x", "x"), "duplicate sweep variable"),
+    ])
+    def test_grid_bindings_are_checked_as_figure_sweeps_are(self, monkeypatch, solved, col, tie, message):
+        spec, sol = solved(ModelId.EX3, 6)
+        monkeypatch.setattr(rdtm.analysis, "eval_number", None)  # no cell is evaluated
+        grid = Grid2D(GridAxis("t", (F(1, 5),)), GridAxis(col, (F(1, 5), F(2, 5))), tie)
+        with pytest.raises(GridError, match=message):
+            absolute_error_grid(sol, spec.exact, grid, CTX)
 
     def test_precision_floor_raises(self, solved):
         spec, sol = solved(ModelId.EX3, 20)
@@ -430,11 +443,6 @@ class TestResidualOrder:
         corrupted = SeriesSolution(spec, tuple(spectra), 10)
         assert residual_order_check(spec, corrupted) == 0
 
-    def test_probe_point_variant(self, solved):
-        spec, sol = solved(ModelId.EX3, 10)
-        probes = [{"x": F(i, 7)} for i in range(1, 6)]
-        assert residual_order_check(spec, sol, probe_points=probes) >= 7
-
 
 GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "growing.pde"
 # The series is zero until order 8 reaches the source's t^7 spectrum, so below
@@ -445,20 +453,9 @@ PAST_ORDER_PDE = 'pde "past" { vars: x; equation: D(u,t,2) = x*t^5; init: 0; ini
 CONSTANT_PDE = 'pde "constant" { vars: x; equation: D(u,t,2) = -1; init: 0; init_t: 0; }'
 
 
-def _probe_sets(spec):
-    """No probes, three generic points, and the origin (where polynomial
-    coefficients with a spatial factor vanish numerically)."""
-    generic = [{v: F(i + j + 2, 7) for j, v in enumerate(spec.spatial_vars)} for i in range(3)]
-    origin = [{v: F(0) for v in spec.spatial_vars}]
-    return (), generic, origin
-
-
 def assert_matches_full_expansion(spec, sol):
-    coefficients = full_expansion_residual(spec, sol)
-    for probes in _probe_sets(spec):
-        got = residual_order_check(spec, sol, probes, CTX)
-        want = first_nonvanishing_degree(coefficients, sol.order, probes, CTX)
-        assert got == want, (spec.name, sol.order, probes)
+    want = first_nonvanishing_degree(full_expansion_residual(spec, sol), sol.order)
+    assert residual_order_check(spec, sol) == want, (spec.name, sol.order)
 
 
 def _random_spec(rng, name):
@@ -520,23 +517,20 @@ class TestTruncatedResidual:
         spec = parse_spec_file(CONSTANT_PDE)
         assert_matches_full_expansion(spec, solve_series(spec, order))
 
-    @pytest.mark.parametrize("problem, order, probes, vanish, bounds", [
-        # every coefficient of ex3's residual has the factor x^2, but its
-        # t-degree is order - 1, so the first walk already covers it
-        ("ex3", 10, [{"x": F(0)}], 10, {10}),
-        (CONSTANT_PDE, 5, [], 5, {5}),
+    @pytest.mark.parametrize("problem, order, vanish, bounds", [
+        (CONSTANT_PDE, 5, 5, {5}),
         # the series is 0 and the residual -x*t^5, of t-degree 5, so the one
         # more walk has the bound 6 whatever the order
-        (PAST_ORDER_PDE, 3, [], 5, {3, 6}),
-        (PAST_ORDER_PDE, 2, [], 5, {2, 6}),
-    ], ids=["ex3-probe-origin", "constant", "past-order3", "past-order2"])
-    def test_fallback_walks_once_to_the_t_degree(self, monkeypatch, problem, order, probes, vanish, bounds):
+        (PAST_ORDER_PDE, 3, 5, {3, 6}),
+        (PAST_ORDER_PDE, 2, 5, {2, 6}),
+    ], ids=["constant", "past-order3", "past-order2"])
+    def test_fallback_walks_once_to_the_t_degree(self, monkeypatch, problem, order, vanish, bounds):
         """When every coefficient below the order vanishes, the residual is
         walked once more, with the bound its t-degree + 1, and only if that
         degree reaches the order; no walk is unbounded."""
-        spec = builtin_model(ModelId(problem)) if problem == "ex3" else parse_spec_file(problem)
+        spec = parse_spec_file(problem)
         sol = solve_series(spec, order)
-        assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order, probes, CTX) == vanish
+        assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
         seen = set()
         original = rdtm.analysis._t_coefficients
 
@@ -545,7 +539,7 @@ class TestTruncatedResidual:
             return original(e, bound)
 
         monkeypatch.setattr(rdtm.analysis, "_t_coefficients", recording)
-        assert residual_order_check(spec, sol, probes, CTX) == vanish
+        assert residual_order_check(spec, sol) == vanish
         assert seen == bounds
 
     def test_products_stop_at_the_truncation_order(self, monkeypatch):
@@ -681,6 +675,19 @@ class TestFigureData:
             export_figure_data(
                 sol, spec.exact, {"x": 1, "t": 0}, [("t", 0, 1, F(1, 2))], CTX
             )
+
+    @pytest.mark.parametrize("fixed, sweep", [
+        # read as binary fractions, this sweep stops short of 3/10: 3 rows, not 4
+        ({"x": 0.5}, ("t", 0, 0.3, 0.1)),
+        ({"x": 0.5}, ("t", 0, F(3, 10), F(1, 10))),
+        ({"x": F(1, 2)}, ("t", 0.0, F(3, 10), F(1, 10))),
+        ({"x": F(1, 2)}, ("t", 0, 0.3, F(1, 10))),
+        ({"x": F(1, 2)}, ("t", 0, F(3, 10), 0.1)),
+    ])
+    def test_floats_rejected(self, solved, fixed, sweep):
+        spec, sol = solved(ModelId.EX3, 10)
+        with pytest.raises(GridError, match="is a float"):
+            export_figure_data(sol, spec.exact, fixed, [sweep], CTX)
 
     def test_csv_round_trip_shape(self, solved):
         spec, sol = solved(ModelId.EX3, 10)

@@ -1,15 +1,17 @@
 """Command-line front end, driven through main()."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 import rdtm.cli
+import rdtm.engine
 from rdtm.cli import main
 from rdtm.analysis import evaluate_series
 from rdtm.models import ModelId
-from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, parse_expr
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, MAX_ORDER, parse_expr
 from rdtm.precision import PrecisionContext, eval_precise
 
 EX3_TEXT = """
@@ -88,6 +90,24 @@ def test_figure_default_shape(capsys):
     lines = out.splitlines()
     assert lines[0] == "x,t,series,exact,abs_error"
     assert len(lines) == 1 + 121
+    assert run(capsys, "figure", "ex1", "--format", "csv") == (code, out, "")
+
+
+TEXT_FORMATS = "--format {text,latex,csv,json}"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("solve", ["--order", TEXT_FORMATS, "--out"]),
+    ("table", ["--order", "--grid", "--precision", TEXT_FORMATS, "--sig-digits", "--out"]),
+    ("figure", ["--order", "--slice", "--sweep", "--precision", "--format {csv,json}", "--sig-digits", "--out"]),
+    ("check", ["--order", "--out"]),
+    ("demo", ["--precision", "--out"]),
+])
+def test_help_lists_the_options_the_command_reads(capsys, command, options):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert re.findall(r"^  (--[a-z-]+(?: \{[a-z,]+\})?)", capsys.readouterr().out, re.M) == options
 
 
 def test_check_builtins_exit_zero(capsys):
@@ -214,6 +234,16 @@ def test_unknown_model_is_a_clean_error(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "ex4" in err
 
 
+@pytest.mark.parametrize("grid, message", [
+    # the tied column would override the row's t in every cell
+    ("t=1/5:1/5:1/5;t,x=1/5:2/5:1/5", "duplicate sweep variable"),
+    ("t=1/5:1/5:1/5;z=1/5:2/5:1/5", "unknown variables ['z']"),
+])
+def test_table_grid_bindings_are_checked(capsys, grid, message):
+    code, out, err = run(capsys, "table", "ex3", "--order", "6", "--grid", grid)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_malformed_ranges_are_clean_errors(capsys):
     """--grid axes and --sweep ranges share the start:stop:step split."""
     cases = [
@@ -300,3 +330,39 @@ def test_a_tiny_sweep_step_is_refused_before_the_solve(monkeypatch, capsys):
     code, out, err = run(capsys, "figure", "ex3", "--slice", "x=1/2", "--sweep", "t=0:1:1/10000000")
     assert code == 1 and out == ""
     assert err == f"error: grid has 10000001 points, more than the limit of {MAX_GRID_POINTS}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "ex3", "--precision", "20"),
+    ("solve", "ex3", "--sig-digits", "3"),
+    ("check", "ex3", "--format", "json"),
+    ("check", "ex3", "--precision", "80"),
+    ("check", "ex3", "--sig-digits", "3"),
+    ("demo", "--order", "5"),
+    ("demo", "--format", "csv"),
+    ("demo", "--sig-digits", "3"),
+    ("table", "ex3", "--format", "plain"),
+    ("figure", "ex1", "--format", "latex"),
+    ("table", "ex1", "--format", "xml"),
+    ("solve", "ex3", "--order", "ten"),
+    (),
+])
+def test_usage_errors_are_clean_errors(monkeypatch, capsys, argv):
+    """An option the command does not read, a value outside its choices, or
+    a malformed command line ends like any other bad input, before any work."""
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "table", "figure", "check"])
+def test_order_over_the_limit_is_refused_before_compiling(monkeypatch, capsys, command):
+    def refuse(*args):
+        raise WorkStarted
+
+    monkeypatch.setattr(rdtm.engine, "compile_recurrence", refuse)
+    monkeypatch.setattr(rdtm.engine.RecurrenceState, "step", refuse)
+    code, out, err = run(capsys, command, "ex3", "--order", str(MAX_ORDER + 1))
+    message = f"error: truncation order {MAX_ORDER + 1} is more than the limit of {MAX_ORDER}\n"
+    assert (code, out, err) == (1, "", message)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import rdtm.engine
 import rdtm.expr
 
 from rdtm.engine import (
@@ -39,7 +40,7 @@ from rdtm.expr import (
     to_text,
 )
 from rdtm.models import ModelId, builtin_model
-from rdtm.parsing import parse_expr
+from rdtm.parsing import MAX_ORDER, parse_expr
 from rdtm.specfile import parse_spec_file
 
 from oracles import nested_convolution
@@ -180,6 +181,31 @@ class TestSolveSeries:
         spec, _ = solved(ModelId.EX3, 2)
         with pytest.raises(InvalidOrderError):
             solve_series(spec, 1)
+
+    def test_order_at_the_limit_is_solved(self, monkeypatch, solved):
+        """The stubbed step appends a zero spectrum, so the run is instant."""
+        spec, _ = solved(ModelId.EX3, 2)
+        steps = []
+
+        def step(state):
+            steps.append(len(state.spectra))
+            state.spectra.append(ZERO)
+            return ZERO
+
+        monkeypatch.setattr(RecurrenceState, "step", step)
+        sol = solve_series(spec, MAX_ORDER)
+        assert sol.order == MAX_ORDER and steps == list(range(2, MAX_ORDER))
+
+    def test_order_over_the_limit_compiles_nothing(self, monkeypatch, solved):
+        spec, _ = solved(ModelId.EX3, 2)
+
+        def refuse(*args):
+            raise AssertionError("a recurrence of the rejected order was compiled or stepped")
+
+        monkeypatch.setattr(rdtm.engine, "compile_recurrence", refuse)
+        monkeypatch.setattr(RecurrenceState, "step", refuse)
+        with pytest.raises(InvalidOrderError, match=f"{MAX_ORDER + 1} is more than the limit of {MAX_ORDER}"):
+            solve_series(spec, MAX_ORDER + 1)
 
     def test_deterministic(self, solved):
         spec, _ = solved(ModelId.EX3, 2)
