@@ -8,6 +8,7 @@ them in any order gives the same table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Context as DecimalContext
@@ -83,7 +84,7 @@ def check_sweeps(sweeps) -> list:
     return specs
 
 
-def _check_bindings(spatial_vars, swept, fixed=()) -> None:
+def check_bindings(spatial_vars, swept, fixed=()) -> None:
     """Reject points that bind a variable twice, bind one the problem does
     not have, or leave t or a spatial variable unbound.  ``swept`` names the
     variables that vary across the points and ``fixed`` those held at one
@@ -274,28 +275,38 @@ def absolute_error_grid(
             f"error grids need >= 30 working digits, got {ctx.decimal_digits}"
         )
     check_grid_size((len(grid.row.values), len(grid.col.values)))
-    _check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
+    check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
     floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
+    axes = [((grid.row.name,), grid.row.values), (grid.col_vars, grid.col.values)]
+    errors = []
+    for (tv, cv), series_value, exact_value in _cells(sol, exact, axes, {}, ctx):
+        err = abs(series_value - exact_value)
+        if 0 < err < floor:
+            raise PrecisionInsufficientError(
+                f"cell ({fraction_str(tv)}, {fraction_str(cv)}): error is below "
+                f"the certifiable floor 1e-{ctx.decimal_digits - 4}; "
+                "raise the working precision"
+            )
+        errors.append(err)
+    width = len(grid.col.values)
+    rows = tuple(tuple(errors[i:i + width]) for i in range(0, len(errors), width))
+    return ErrorTable(grid, rows, sol.order, ctx.decimal_digits)
+
+
+def _cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContext):
+    """(coordinates, series value, exact value) at every cell of the
+    cartesian product of ``axes``, row-major.  ``axes`` is a sequence of
+    (variables, values): a coordinate binds every variable of its axis, and
+    ``fixed`` binds the others.  One simplified ``exact`` and one
+    _SeriesEvaluator serve every cell."""
     exact = ex.simplify(exact)
-    axes = [((grid.row.name,), len(grid.row.values)), (grid.col_vars, len(grid.col.values))]
-    evaluator = _SeriesEvaluator(sol, ctx, axes)
-    rows = []
-    for tv in grid.row.values:
-        row = []
-        for cv in grid.col.values:
-            point = grid.point(tv, cv)
-            series_value = evaluator.series(point)
-            exact_value = eval_canonical(exact, point, ctx, evaluator.atoms)
-            err = abs(series_value - exact_value)
-            if 0 < err < floor:
-                raise PrecisionInsufficientError(
-                    f"cell ({fraction_str(tv)}, {fraction_str(cv)}): error is below "
-                    f"the certifiable floor 1e-{ctx.decimal_digits - 4}; "
-                    "raise the working precision"
-                )
-            row.append(err)
-        rows.append(tuple(row))
-    return ErrorTable(grid, tuple(rows), sol.order, ctx.decimal_digits)
+    evaluator = _SeriesEvaluator(sol, ctx, [(names, len(values)) for names, values in axes])
+    for coords in itertools.product(*(values for _, values in axes)):
+        point = dict(fixed)
+        for (names, _), value in zip(axes, coords):
+            point.update(dict.fromkeys(names, value))
+        series_value = evaluator.series(point)
+        yield coords, series_value, eval_canonical(exact, point, ctx, evaluator.atoms)
 
 
 def residual_order_check(spec, sol: SeriesSolution) -> int:
@@ -506,20 +517,10 @@ def export_figure_data(
     fixed = dict(zip(slice_bindings, _as_fractions(slice_bindings.values())))
     sweep_specs = check_sweeps(sweeps)
     sweep_names = [name for name, *_ in sweep_specs]
-    _check_bindings(sol.spec.spatial_vars, sweep_names, fixed)
-
-    exact = ex.simplify(exact)
-    grids = [rational_range(start, stop, step) for _, start, stop, step in sweep_specs]
-    points = [()]
-    for axis in grids:
-        points = [prefix + (v,) for prefix in points for v in axis]
-    evaluator = _SeriesEvaluator(sol, ctx, [((name,), len(axis)) for name, axis in zip(sweep_names, grids)])
-    rows = []
-    for coords in points:
-        point = dict(fixed)
-        point.update(zip(sweep_names, coords))
-        series_value = evaluator.series(point)
-        exact_value = eval_canonical(exact, point, ctx, evaluator.atoms)
-        rows.append((*coords, series_value, exact_value, abs(series_value - exact_value)))
-    columns = (*sweep_names, "series", "exact", "abs_error")
-    return FigureData(columns, tuple(rows))
+    check_bindings(sol.spec.spatial_vars, sweep_names, fixed)
+    axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
+    rows = tuple(
+        (*coords, series_value, exact_value, abs(series_value - exact_value))
+        for coords, series_value, exact_value in _cells(sol, exact, axes, fixed, ctx)
+    )
+    return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)

@@ -24,6 +24,7 @@ from .analysis import (
     Grid2D,
     GridAxis,
     absolute_error_grid,
+    check_bindings,
     check_grid_size,
     check_sweeps,
     export_figure_data,
@@ -35,7 +36,7 @@ from .analysis import (
     residual_order_check,
     taylor_coefficient,
 )
-from .engine import solve_series
+from .engine import SeriesSolution, solve_series
 from .errors import GridError, InvalidOptionError, ParseError, RdtmError
 from .models import (
     DEFAULT_FIGURE,
@@ -81,9 +82,10 @@ def _range_bounds(spec: str):
     return tuple(_fraction(p) for p in parts)
 
 
-def _parse_grid(text: str) -> Grid2D:
+def _parse_grid(text: str) -> list:
     """Grid syntax: 't=1/10:1:1/10;x=1/5:1:1/5' (or 'x,y=...' to tie several
-    spatial variables to the column axis)."""
+    spatial variables to the column axis).  Returns [(variables, bounds)] for
+    the row and the column axis, without enumerating either."""
     parts = text.split(";")
     if len(parts) != 2:
         raise GridError("grid must have a row part and a column part separated by ';'")
@@ -97,12 +99,9 @@ def _parse_grid(text: str) -> Grid2D:
             raise GridError("step must be positive")
         axes.append((tuple(n.strip() for n in names.split(",")), bounds))
     check_grid_size([range_length(*bounds) for _, bounds in axes])
-    (row_names, row_bounds), (col_names, col_bounds) = axes
-    row_values, col_values = rational_range(*row_bounds), rational_range(*col_bounds)
-    if len(row_names) != 1:
+    if len(axes[0][0]) != 1:
         raise GridError("the row axis must be a single variable")
-    tie = col_names if len(col_names) > 1 else ()
-    return Grid2D(GridAxis(row_names[0], row_values), GridAxis(col_names[0], col_values), tie)
+    return axes
 
 
 def _parse_bindings(text: str) -> dict:
@@ -113,7 +112,10 @@ def _parse_bindings(text: str) -> dict:
         name, eq, value = part.partition("=")
         if not eq:
             raise GridError(f"expected name=value, got {part!r}")
-        out[name.strip()] = _fraction(value)
+        name = name.strip()
+        if name in out:
+            raise GridError(f"slice binds {name!r} twice")
+        out[name] = _fraction(value)
     return out
 
 
@@ -140,6 +142,15 @@ def _cmd_solve(args) -> int:
     spec, _ = _load_problem(args.problem)
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     sol = solve_series(spec, order)
+    if args.format == "csv":
+        lines = ["k,spectrum"]
+        for k, v in enumerate(sol.spectra):
+            text = ex.to_text(v)
+            if "," in text:
+                text = '"' + text + '"'
+            lines.append(f"{k},{text}")
+        _emit("\n".join(lines) + "\n", args.out)
+        return 0
     series = sol.to_expr()
     if args.format == "json":
         payload = {
@@ -149,15 +160,6 @@ def _cmd_solve(args) -> int:
             "series": ex.to_text(series),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    if args.format == "csv":
-        lines = ["k,spectrum"]
-        for k, v in enumerate(sol.spectra):
-            text = ex.to_text(v)
-            if "," in text:
-                text = '"' + text + '"'
-            lines.append(f"{k},{text}")
-        _emit("\n".join(lines) + "\n", args.out)
         return 0
     render = ex.to_latex if args.format == "latex" else ex.to_text
     lines = [f"V_{k} = {render(v)}" for k, v in enumerate(sol.spectra)]
@@ -172,7 +174,10 @@ def _cmd_table(args) -> int:
         raise RdtmError("table requires an exact solution ('exact:' field)")
     order = DEFAULT_TABLE_ORDER.get(model, DEFAULT_SOLVE_ORDER) if args.order is None else args.order
     if args.grid:
-        grid = _parse_grid(args.grid)
+        (row, row_bounds), (cols, col_bounds) = _parse_grid(args.grid)
+        check_bindings(spec.spatial_vars, row + cols)
+        row_values, col_values = rational_range(*row_bounds), rational_range(*col_bounds)
+        grid = Grid2D(GridAxis(row[0], row_values), GridAxis(cols[0], col_values), cols)
     elif model is not None:
         t_values, col_values, tie = DEFAULT_TABLE_GRID[model]
         grid = Grid2D(GridAxis("t", t_values), GridAxis(tie[0], col_values), tie)
@@ -202,21 +207,18 @@ def _cmd_figure(args) -> int:
     spec, model = _load_problem(args.problem)
     if spec.exact is None:
         raise RdtmError("figure requires an exact solution ('exact:' field)")
-    slice_bindings = {}
-    sweeps = []
-    order = args.order
+    slice_bindings, sweeps, order = {}, [], DEFAULT_SOLVE_ORDER
     if model is not None and not (args.slice or args.sweep):
-        slice_bindings, sweeps, default_order = DEFAULT_FIGURE[model]
-        order = default_order if order is None else order
+        slice_bindings, sweeps, order = DEFAULT_FIGURE[model]
     if args.slice:
         slice_bindings = _parse_bindings(args.slice)
     if args.sweep:
         sweeps = check_sweeps([_parse_sweep(s) for s in args.sweep])
     if not sweeps:
         raise GridError("no sweep given (use --sweep var=start:stop:step)")
-    order = DEFAULT_SOLVE_ORDER if order is None else order
+    check_bindings(spec.spatial_vars, [name for name, *_ in sweeps], slice_bindings)
     ctx = PrecisionContext(args.precision)
-    sol = solve_series(spec, order)
+    sol = solve_series(spec, order if args.order is None else args.order)
     data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
     if args.format == "json":
         payload = {
@@ -237,10 +239,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _check_report(spec, order):
-    """Run the verification pair: residual order and closed-form agreement.
-    Returns (list of report lines, ok flag)."""
-    sol = solve_series(spec, order)
+def _check_report(sol):
+    """Run the verification pair on a solution: residual order and
+    closed-form agreement.  Returns (list of report lines, ok flag)."""
+    spec, order = sol.spec, sol.order
     lines = []
     ok = True
     vanish = residual_order_check(spec, sol)
@@ -253,12 +255,9 @@ def _check_report(spec, order):
             f"(order {order} requires vanishing through t^{order - 3})"
         )
     if spec.exact is not None:
-        mismatch = None
-        for k, v in enumerate(sol.spectra):
-            expected = taylor_coefficient(spec.exact, k)
-            if ex.expand(expected) != ex.expand(v):
-                mismatch = k
-                break
+        mismatch = next(
+            (k for k, v in enumerate(sol.spectra) if ex.expand(taylor_coefficient(spec.exact, k)) != v), None
+        )
         if mismatch is None:
             lines.append(f"spectra match the exact solution's Taylor coefficients for k<{order}")
         else:
@@ -272,7 +271,7 @@ def _check_report(spec, order):
 def _cmd_check(args) -> int:
     spec, _ = _load_problem(args.problem)
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
-    lines, ok = _check_report(spec, order)
+    lines, ok = _check_report(solve_series(spec, order))
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
@@ -288,7 +287,9 @@ def _cmd_demo(args) -> int:
         sol = solve_series(spec, order)
         for k in (0, 1, 2, 3):
             out_lines.append(f"   V_{k} = {ex.to_text(sol.spectra[k])}")
-        check_lines, ok = _check_report(spec, min(order, 10))
+        # the first n spectra of a solve are those of a solve at order n
+        n = min(order, 10)
+        check_lines, ok = _check_report(SeriesSolution(spec, sol.spectra[:n], n))
         all_ok = all_ok and ok
         out_lines.extend("   " + line for line in check_lines)
         t_values, col_values, tie = DEFAULT_TABLE_GRID[model]

@@ -126,8 +126,9 @@ class SpectralRecurrence:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """The spectrum sequence V_0..V_{order-1}; inverse transform is
-    sum of spectra[k] * t**k."""
+    """The spectrum sequence V_0..V_{order-1}, canonical expanded trees as
+    solve_series returns them and as every consumer uses them; the inverse
+    transform is sum of spectra[k] * t**k."""
 
     spec: PdeSpec
     spectra: tuple
@@ -144,7 +145,7 @@ class SeriesSolution:
         """Truncated series sum(V_k * t^k) as a canonical expanded expression."""
         t = ex.Var(TIME_VAR)
         return ex.add_expanded(
-            ex.mul_expanded(ex.expand(v), ex.simplify(ex.Power(t, k))) for k, v in enumerate(self.spectra)
+            ex.mul_expanded(v, ex.simplify(ex.Power(t, k))) for k, v in enumerate(self.spectra)
         )
 
 

@@ -1,7 +1,8 @@
 """Built-in wave-like benchmark problems with closed-form solutions.
 
-The right-hand sides are stored in their compact operator form; D(...) in
-the problem text differentiates mechanically at parse time, so the expanded
+Each problem is stored as problem-file text (see rdtm.specfile) and loaded
+like any other.  The right-hand sides keep their compact operator form;
+D(...) differentiates mechanically at parse time, so the expanded
 polynomial form is derived rather than transcribed.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .analysis import rational_range
 from .engine import PdeSpec
-from .parsing import parse_expr
+from .specfile import parse_spec_file
 
 __all__ = [
     "ModelId",
@@ -32,50 +33,38 @@ class ModelId(Enum):
 _DEFINITIONS = {
     # 2-D: v_tt = d^2/dxdy(v_xx v_yy) - d^2/dxdy(x y v_x v_y) - v,
     # v(x,y,0) = v_t(x,y,0) = e^{xy}; solution e^{xy} (sin t + cos t).
-    ModelId.EX1: dict(
-        vars=("x", "y"),
-        rhs="D(D(u,x,2)*D(u,y,2), x,1,y,1) - D(x*y*D(u,x,1)*D(u,y,1), x,1,y,1) - u",
-        init="exp(x*y)",
-        init_t="exp(x*y)",
-        exact="exp(x*y)*(sin(t) + cos(t))",
-    ),
+    ModelId.EX1: """
+pde "ex1" {
+  vars: x, y;
+  equation: D(u,t,2) = D(D(u,x,2)*D(u,y,2), x,1,y,1) - D(x*y*D(u,x,1)*D(u,y,1), x,1,y,1) - u;
+  init: exp(x*y);  init_t: exp(x*y);  exact: exp(x*y)*(sin(t) + cos(t));
+}
+""",
     # 1-D quintic: v_tt = v^2 d^2/dx^2(v_x v_xx v_xxx)
     #                    + (v_x)^2 d^2/dx^2((v_xx)^3) - 18 v^5 + v,
     # v(x,0) = v_t(x,0) = e^x; solution e^{x+t}.
-    ModelId.EX2: dict(
-        vars=("x",),
-        rhs=(
-            "u^2 * D(D(u,x,1)*D(u,x,2)*D(u,x,3), x,2)"
-            " + D(u,x,1)^2 * D(D(u,x,2)^3, x,2)"
-            " - 18*u^5 + u"
-        ),
-        init="exp(x)",
-        init_t="exp(x)",
-        exact="exp(x)*exp(t)",
-    ),
+    ModelId.EX2: """
+pde "ex2" {
+  vars: x;
+  equation: D(u,t,2) = u^2*D(D(u,x,1)*D(u,x,2)*D(u,x,3), x,2) + D(u,x,1)^2*D(D(u,x,2)^3, x,2) - 18*u^5 + u;
+  init: exp(x);  init_t: exp(x);  exact: exp(x)*exp(t);
+}
+""",
     # 1-D: v_tt = x^2 d/dx(v_x v_xx) - x^2 (v_xx)^2 - v,
     # v(x,0) = 0, v_t(x,0) = x^2; solution x^2 sin t.
-    ModelId.EX3: dict(
-        vars=("x",),
-        rhs="x^2*D(D(u,x,1)*D(u,x,2), x,1) - x^2*D(u,x,2)^2 - u",
-        init="0",
-        init_t="x^2",
-        exact="x^2*sin(t)",
-    ),
+    ModelId.EX3: """
+pde "ex3" {
+  vars: x;
+  equation: D(u,t,2) = x^2*D(D(u,x,1)*D(u,x,2), x,1) - x^2*D(u,x,2)^2 - u;
+  init: 0;  init_t: x^2;  exact: x^2*sin(t);
+}
+""",
 }
 
 
 def builtin_model(model: ModelId) -> PdeSpec:
     """A validated problem definition for the given built-in model."""
-    d = _DEFINITIONS[model]
-    return PdeSpec(
-        name=model.value,
-        spatial_vars=d["vars"],
-        rhs=parse_expr(d["rhs"], d["vars"]),
-        init_u=parse_expr(d["init"], d["vars"]),
-        init_ut=parse_expr(d["init_t"], d["vars"]),
-        exact=parse_expr(d["exact"], d["vars"]),
-    )
+    return parse_spec_file(_DEFINITIONS[model])
 
 
 # Reproduction defaults: truncation orders are the ones that match the

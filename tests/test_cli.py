@@ -164,6 +164,22 @@ def test_demo_summary(capsys):
     assert "reproduction summary: all checks passed" in out
 
 
+@pytest.mark.parametrize("argv, solves", [(("demo",), 3), (("check", "ex3", "--order", "8"), 1)], ids=["demo", "check"])
+def test_each_command_solves_each_model_once(monkeypatch, capsys, argv, solves):
+    """demo checks the first spectra of its one solve per model, as they
+    are those of a solve at the check's order."""
+    calls = []
+
+    def counting(spec, order):
+        calls.append((spec.name, order))
+        return rdtm.engine.solve_series(spec, order)
+
+    monkeypatch.setattr(rdtm.cli, "solve_series", counting)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == solves, calls
+
+
 def test_order_zero_is_not_replaced_by_the_default(capsys):
     for command in ("solve", "table", "figure", "check"):
         code, out, err = run(capsys, command, "ex3", "--order", "0")
@@ -234,16 +250,6 @@ def test_unknown_model_is_a_clean_error(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "ex4" in err
 
 
-@pytest.mark.parametrize("grid, message", [
-    # the tied column would override the row's t in every cell
-    ("t=1/5:1/5:1/5;t,x=1/5:2/5:1/5", "duplicate sweep variable"),
-    ("t=1/5:1/5:1/5;z=1/5:2/5:1/5", "unknown variables ['z']"),
-])
-def test_table_grid_bindings_are_checked(capsys, grid, message):
-    code, out, err = run(capsys, "table", "ex3", "--order", "6", "--grid", grid)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
-
-
 def test_malformed_ranges_are_clean_errors(capsys):
     """--grid axes and --sweep ranges share the start:stop:step split."""
     cases = [
@@ -273,6 +279,32 @@ def _refuse_work(monkeypatch):
 
     monkeypatch.setattr(rdtm.cli, "solve_series", refuse)
     monkeypatch.setattr(rdtm.cli, "rational_range", refuse)
+
+
+@pytest.mark.parametrize("grid, message", [
+    # the tied column would override the row's t in every cell
+    ("t=1/5:1/5:1/5;t,x=1/5:2/5:1/5", "duplicate sweep variable"),
+    ("t=1/5:1/5:1/5;z=1/5:2/5:1/5", "unknown variables ['z']"),
+])
+def test_table_grid_bindings_are_checked(monkeypatch, capsys, grid, message):
+    """Binding errors come before the solve and before any axis is built."""
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, "table", "ex3", "--order", "6", "--grid", grid)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_figure_bindings_are_checked_before_the_solve(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, "figure", "ex3", "--order", "6", "--slice", "x=1/2", "--sweep", "x=0:1:1/2")
+    assert (code, out, err) == (1, "", "error: slice and sweep bind the same variable (over-constrained)\n")
+
+
+def test_a_variable_bound_twice_in_a_slice_is_a_clean_error(monkeypatch, capsys):
+    """The second binding used to replace the first without a word."""
+    _refuse_work(monkeypatch)
+    argv = ("figure", "ex1", "--slice", "y=1/2;y=1/3", "--sweep", "x=0:1:1/2", "--sweep", "t=0:1:1/2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: slice binds 'y' twice\n")
 
 
 # (rows, cols) and sweep lengths with exactly MAX_GRID_POINTS and one more

@@ -28,6 +28,7 @@ from rdtm.expr import (
     ZERO,
     Atom,
     DerivSym,
+    add_expanded,
     Power,
     Product,
     Sum,
@@ -232,6 +233,24 @@ class TestSolveSeries:
     def test_to_expr(self, solved):
         spec, sol = solved(ModelId.EX3, 4)
         assert to_text(sol.to_expr()) == "t*x^2 - 1/6*t^3*x^2"
+
+    def test_to_expr_uses_the_spectra_as_given(self, monkeypatch):
+        """Solved spectra are canonical and expanded, so forming the series
+        expands none of them again."""
+        sol = solve_series(parse_spec_file(GROWING_PDE.read_text()), 8)
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return expand(e)
+
+        monkeypatch.setattr(rdtm.expr, "expand", counting)
+        series = sol.to_expr()
+        assert not calls
+        monkeypatch.undo()
+        assert series == add_expanded(
+            mul_expanded(expand(v), simplify(Power(Var("t"), k))) for k, v in enumerate(sol.spectra)
+        )
 
 
 class TestTermEvaluation:
