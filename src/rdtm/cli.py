@@ -207,9 +207,12 @@ def _cmd_figure(args) -> int:
     spec, model = _load_problem(args.problem)
     if spec.exact is None:
         raise RdtmError("figure requires an exact solution ('exact:' field)")
-    slice_bindings, sweeps, order = {}, [], DEFAULT_SOLVE_ORDER
+    slice_bindings = {}
+    sweeps = []
+    order = args.order
     if model is not None and not (args.slice or args.sweep):
-        slice_bindings, sweeps, order = DEFAULT_FIGURE[model]
+        slice_bindings, sweeps, default_order = DEFAULT_FIGURE[model]
+        order = default_order if order is None else order
     if args.slice:
         slice_bindings = _parse_bindings(args.slice)
     if args.sweep:
@@ -217,8 +220,9 @@ def _cmd_figure(args) -> int:
     if not sweeps:
         raise GridError("no sweep given (use --sweep var=start:stop:step)")
     check_bindings(spec.spatial_vars, [name for name, *_ in sweeps], slice_bindings)
+    order = DEFAULT_SOLVE_ORDER if order is None else order
     ctx = PrecisionContext(args.precision)
-    sol = solve_series(spec, order if args.order is None else args.order)
+    sol = solve_series(spec, order)
     data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
     if args.format == "json":
         payload = {
@@ -255,9 +259,12 @@ def _check_report(sol):
             f"(order {order} requires vanishing through t^{order - 3})"
         )
     if spec.exact is not None:
-        mismatch = next(
-            (k for k, v in enumerate(sol.spectra) if ex.expand(taylor_coefficient(spec.exact, k)) != v), None
-        )
+        mismatch = None
+        for k, v in enumerate(sol.spectra):
+            expected = taylor_coefficient(spec.exact, k)
+            if ex.expand(expected) != v:
+                mismatch = k
+                break
         if mismatch is None:
             lines.append(f"spectra match the exact solution's Taylor coefficients for k<{order}")
         else:

@@ -328,8 +328,8 @@ def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
         raise InvalidOrderError(f"truncation order must be an integer >= 2, got {order!r}")
     if order > MAX_ORDER:
         raise InvalidOrderError(f"truncation order {order} is more than the limit of {MAX_ORDER}")
-    # V_0 and V_1 are the initial data (the 1/k! factors are 1 for k <= 1)
-    state = RecurrenceState(compile_recurrence(spec), (spec.init_u, spec.init_ut))
+    # V_0 and V_1 are the initial data, expanded (the 1/k! factors are 1 for k <= 1)
+    state = RecurrenceState(compile_recurrence(spec), (ex.expand(spec.init_u), ex.expand(spec.init_ut)))
     for _ in range(order - 2):
         state.step()
     return SeriesSolution(spec, tuple(state.spectra), order)

@@ -1,8 +1,7 @@
 """Built-in wave-like benchmark problems with closed-form solutions.
 
-Each problem is stored as problem-file text (see rdtm.specfile) and loaded
-like any other.  The right-hand sides keep their compact operator form;
-D(...) differentiates mechanically at parse time, so the expanded
+The right-hand sides are stored in their compact operator form; D(...) in
+the problem text differentiates mechanically at parse time, so the expanded
 polynomial form is derived rather than transcribed.
 """
 
@@ -37,7 +36,9 @@ _DEFINITIONS = {
 pde "ex1" {
   vars: x, y;
   equation: D(u,t,2) = D(D(u,x,2)*D(u,y,2), x,1,y,1) - D(x*y*D(u,x,1)*D(u,y,1), x,1,y,1) - u;
-  init: exp(x*y);  init_t: exp(x*y);  exact: exp(x*y)*(sin(t) + cos(t));
+  init: exp(x*y);
+  init_t: exp(x*y);
+  exact: exp(x*y)*(sin(t) + cos(t));
 }
 """,
     # 1-D quintic: v_tt = v^2 d^2/dx^2(v_x v_xx v_xxx)
@@ -46,8 +47,11 @@ pde "ex1" {
     ModelId.EX2: """
 pde "ex2" {
   vars: x;
-  equation: D(u,t,2) = u^2*D(D(u,x,1)*D(u,x,2)*D(u,x,3), x,2) + D(u,x,1)^2*D(D(u,x,2)^3, x,2) - 18*u^5 + u;
-  init: exp(x);  init_t: exp(x);  exact: exp(x)*exp(t);
+  equation: D(u,t,2) = u^2*D(D(u,x,1)*D(u,x,2)*D(u,x,3), x,2)
+    + D(u,x,1)^2*D(D(u,x,2)^3, x,2) - 18*u^5 + u;
+  init: exp(x);
+  init_t: exp(x);
+  exact: exp(x)*exp(t);
 }
 """,
     # 1-D: v_tt = x^2 d/dx(v_x v_xx) - x^2 (v_xx)^2 - v,
@@ -56,7 +60,9 @@ pde "ex2" {
 pde "ex3" {
   vars: x;
   equation: D(u,t,2) = x^2*D(D(u,x,1)*D(u,x,2), x,1) - x^2*D(u,x,2)^2 - u;
-  init: 0;  init_t: x^2;  exact: x^2*sin(t);
+  init: 0;
+  init_t: x^2;
+  exact: x^2*sin(t);
 }
 """,
 }

@@ -126,6 +126,33 @@ def test_check_reports_failure_for_wrong_exact(tmp_path, capsys):
     assert "FAIL" in out
 
 
+FACTORED_TEXT = """pde "factored" {
+  vars: x;
+  equation: D(u,t,2) = -u;
+  init: x*(1 + x);
+  init_t: x*(1 - x);
+  exact: x*(1 + x)*cos(t) + x*(1 - x)*sin(t);
+}
+"""
+
+
+def test_factored_initial_data_are_expanded_spectra(tmp_path, capsys):
+    """V_0 and V_1 come out of the solve expanded like every later spectrum,
+    so the closed-form check and the series need no expand of their own."""
+    path = tmp_path / "factored.pde"
+    path.write_text(FACTORED_TEXT)
+    code, out, _ = run(capsys, "check", str(path), "--order", "6")
+    assert code == 0, out
+    code, out, _ = run(capsys, "solve", str(path), "--order", "5")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["V_0 = x + x^2", "V_1 = x - x^2"]
+    assert lines[-1] == (
+        "series = x + t*x + x^2 - t*x^2 - 1/2*t^2*x - 1/2*t^2*x^2"
+        " - 1/6*t^3*x + 1/6*t^3*x^2 + 1/24*t^4*x + 1/24*t^4*x^2"
+    )
+
+
 def test_spec_file_solve_matches_builtin(tmp_path, capsys):
     path = tmp_path / "ex3.pde"
     path.write_text(EX3_TEXT)
@@ -297,6 +324,16 @@ def test_figure_bindings_are_checked_before_the_solve(monkeypatch, capsys):
     _refuse_work(monkeypatch)
     code, out, err = run(capsys, "figure", "ex3", "--order", "6", "--slice", "x=1/2", "--sweep", "x=0:1:1/2")
     assert (code, out, err) == (1, "", "error: slice and sweep bind the same variable (over-constrained)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "ex1", "--grid", "t=1:1:1;z=1:1:1"), "unknown variables ['z']"),
+    (("figure", "ex3", "--slice", "x=1/2", "--sweep", "x=0:1:1/2"),
+     "slice and sweep bind the same variable (over-constrained)"),
+])
+def test_a_binding_error_comes_before_the_order_limit(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_a_variable_bound_twice_in_a_slice_is_a_clean_error(monkeypatch, capsys):
