@@ -25,6 +25,7 @@ require canonical input.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -554,9 +555,21 @@ def to_text(e) -> str:
     return _text(_coerce(e))
 
 
+def _digits(value) -> str:
+    """Decimal text of a coefficient or an exponent, or an error naming the
+    interpreter's limit on the digits of an int converted to text."""
+    try:
+        return str(value)
+    except ValueError:
+        raise UnsupportedExpressionError(
+            f"a coefficient or exponent has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to text"
+        ) from None
+
+
 def _text(e) -> str:
     if isinstance(e, Rational):
-        return str(e.value)
+        return _digits(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Atom):
@@ -570,7 +583,7 @@ def _text(e) -> str:
         base = _text(e.base)
         if isinstance(e.base, (Sum, Product, Rational)):
             base = f"({base})"
-        exponent = e.exponent if e.exponent >= 0 else f"({e.exponent})"
+        exponent = _digits(e.exponent) if e.exponent >= 0 else f"({_digits(e.exponent)})"
         return f"{base}^{exponent}"
     if isinstance(e, Product):
         coeff, monomial = _split_term(e)
@@ -580,7 +593,7 @@ def _text(e) -> str:
             return body
         if coeff == -1:
             return f"-{body}"
-        return f"{coeff}*{body}"
+        return f"{_digits(coeff)}*{body}"
     parts = []
     for i, t in enumerate(e.terms):
         coeff, monomial = _split_term(t)
@@ -604,9 +617,9 @@ def to_latex(e) -> str:
 
 def _latex_frac(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
+        return _digits(value.numerator)
     sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return rf"{sign}\frac{{{_digits(abs(value.numerator))}}}{{{_digits(value.denominator)}}}"
 
 
 def _latex(e) -> str:
@@ -630,7 +643,7 @@ def _latex(e) -> str:
         base = _latex(e.base)
         if isinstance(e.base, (Sum, Product, Rational, DerivSym)):
             base = rf"\left({base}\right)"
-        return rf"{base}^{{{e.exponent}}}"
+        return rf"{base}^{{{_digits(e.exponent)}}}"
     if isinstance(e, Product):
         coeff, monomial = _split_term(e)
         parts = [

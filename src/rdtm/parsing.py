@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent expression parser.
+r"""Tokenizer and recursive-descent expression parser.
 
 The grammar is the one the pretty-printer emits, so parse -> print -> parse
 is a fixed point:
@@ -12,6 +12,13 @@ is a fixed point:
     ident-form := declared variable | 't' | 'u'
                 | ('exp'|'sin'|'cos') '(' expression ')'
                 | 'D' '(' expression (',' IDENT ',' INT)+ ')'
+
+The lexicon is ASCII; any other character is a ParseError:
+
+    NUMBER     := [0-9]+ ('.' [0-9]*)? | '.' [0-9]+   # within the int/str digit limit
+    IDENT      := [A-Za-z_] [A-Za-z0-9_]*
+    STRING     := '"' [^"\n]* '"'
+    punct      := one of + - * / ^ ( ) , { } : ; =
 
 Whitespace is insignificant and '#' starts a comment running to end of line.
 Numbers are exact: integers, fractions via '/', and decimal literals such as
@@ -29,6 +36,8 @@ MAX_DERIVATIVE_ORDER, so the differentiation work it implies is bounded too.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +70,17 @@ MAX_GRID_POINTS = 100_000
 # reference table uses order 20 and the deepest benchmark solve order 30.
 MAX_ORDER = 100
 
-_PUNCT = "+-*/^(),{}:;="
+# The lexicon of the module docstring; 'bad' takes any character it leaves.
+_LEXICON = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r'|"(?P<STRING>[^"\n]*)"'
+    r"|(?P<punct>[-+*/^(),{}:;=])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -74,63 +93,19 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(Token("STRING", text[i + 1 : j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _LEXICON.finditer(text):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            char = match.group()
+            message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
+            raise ParseError(message, line, col)
+        elif kind != "skip":
+            lexeme = match.group(kind)
+            tokens.append(Token(lexeme if kind == "punct" else kind, lexeme, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -162,8 +137,23 @@ class TokenStream:
             )
         return self.advance()
 
+    def expect_end(self):
+        if self.cur.kind != "EOF":
+            raise self.error(f"unexpected trailing {self.cur.text!r}")
+
     def error(self, message) -> ParseError:
         return ParseError(message, self.cur.line, self.cur.col)
+
+
+def _number(tok: Token) -> Fraction:
+    """The exact value of a NUMBER token; the lexicon leaves Fraction only
+    the interpreter's int digit limit as a reason to refuse one."""
+    try:
+        return Fraction(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"number has more than {sys.get_int_max_str_digits()} digits", tok.line, tok.col
+        ) from None
 
 
 class ExprParser:
@@ -231,26 +221,25 @@ class ExprParser:
         return base
 
     def parse_exponent(self) -> int:
-        if self.stream.accept("("):
-            sign = -1 if self.stream.accept("-") else 1
-            value = self.parse_integer("integer exponent")
-            self.stream.expect(")")
-            return sign * value
+        parenthesized = self.stream.accept("(")
         sign = -1 if self.stream.accept("-") else 1
-        return sign * self.parse_integer("integer exponent")
+        value = sign * self.parse_integer("integer exponent")
+        if parenthesized:
+            self.stream.expect(")")
+        return value
 
     def parse_integer(self, what) -> int:
         tok = self.stream.cur
         if tok.kind != "NUMBER" or "." in tok.text:
             raise self.stream.error(f"expected {what}, found {tok.text or 'end of input'!r}")
         self.stream.advance()
-        return int(tok.text)
+        return _number(tok).numerator
 
     def parse_primary(self) -> ex.Expr:
         tok = self.stream.cur
         if tok.kind == "NUMBER":
             self.stream.advance()
-            return ex.Rational(Fraction(tok.text))
+            return ex.Rational(_number(tok))
         if tok.kind == "(":
             self.stream.advance()
             node = self.parse_nested(tok)
@@ -312,6 +301,5 @@ def parse_expr(text: str, declared_vars) -> ex.Expr:
     stream = TokenStream(tokenize(text))
     parser = ExprParser(stream, declared_vars)
     node = parser.parse_expression()
-    if stream.cur.kind != "EOF":
-        raise stream.error(f"unexpected trailing {stream.cur.text!r}")
+    stream.expect_end()
     return ex.simplify(node)

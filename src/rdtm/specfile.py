@@ -30,11 +30,6 @@ def _substream(tokens, end: Token) -> TokenStream:
     return TokenStream(list(tokens) + [Token("EOF", "", end.line, end.col)])
 
 
-def _expect_end(stream: TokenStream):
-    if stream.cur.kind != "EOF":
-        raise stream.error(f"unexpected trailing {stream.cur.text!r}")
-
-
 def parse_spec_file(text: str) -> PdeSpec:
     """Parse DSL text into a validated problem definition."""
     stream = TokenStream(tokenize(text))
@@ -92,7 +87,7 @@ def parse_spec_file(text: str) -> PdeSpec:
     names = [variable_name()]
     while vars_stream.accept(","):
         names.append(variable_name())
-    _expect_end(vars_stream)
+    vars_stream.expect_end()
 
     field, body, end = fields["equation"]
     eq_stream = _substream(body, end)
@@ -102,7 +97,7 @@ def parse_spec_file(text: str) -> PdeSpec:
         raise eq_stream.error("expected '=' in the equation")
     eq_stream.advance()
     rhs = parser.parse_expression()
-    _expect_end(eq_stream)
+    eq_stream.expect_end()
     if lhs != _U_TT:
         raise UnsupportedStructureError(
             "the equation's left side must be D(u,t,2); only second-order-in-time "
@@ -113,7 +108,7 @@ def parse_spec_file(text: str) -> PdeSpec:
         field, body, end = fields[key]
         sub = _substream(body, end)
         node = ExprParser(sub, names).parse_expression()
-        _expect_end(sub)
+        sub.expect_end()
         return node
 
     return PdeSpec(

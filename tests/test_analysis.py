@@ -451,6 +451,12 @@ GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" 
 PAST_ORDER_PDE = 'pde "past" { vars: x; equation: D(u,t,2) = x*t^5; init: 0; init_t: 0; }'
 # From order 3 on the series -t^2/2 is exact and the residual is zero.
 CONSTANT_PDE = 'pde "constant" { vars: x; equation: D(u,t,2) = -1; init: 0; init_t: 0; }'
+# The right-hand side keeps (t + t^2)^3 a power of a sum through compilation,
+# and below order 7 the series is 0, so the residual check falls back to the
+# residual's t-degree, which it reads through that power.
+POWER_OF_SUM_PDE = 'pde "power" { vars: x; equation: D(u,t,2) = x*(t + t^2)^3; init: 0; init_t: 0; }'
+# exp(x) is an atom factor of the compiled term's spatial coefficient.
+ATOM_COEFFICIENT_PDE = 'pde "atom" { vars: x; equation: D(u,t,2) = exp(x)*u; init: 1; init_t: 0; }'
 
 
 def assert_matches_full_expansion(spec, sol):
@@ -511,6 +517,17 @@ class TestTruncatedResidual:
         sol = solve_series(spec, order)
         assert residual_order_check(spec, sol) == vanish
         assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_power_of_a_sum_matches_full_expansion(self, order):
+        spec = parse_spec_file(POWER_OF_SUM_PDE)
+        assert_matches_full_expansion(spec, solve_series(spec, order))
+
+    def test_atom_coefficient_matches_full_expansion(self):
+        spec = parse_spec_file(ATOM_COEFFICIENT_PDE)
+        sol = solve_series(spec, 6)
+        assert to_text(sol.spectra[2]) == "1/2*exp(x)"
+        assert_matches_full_expansion(spec, sol)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 8])
     def test_exact_series_matches_full_expansion(self, order):

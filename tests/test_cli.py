@@ -435,3 +435,58 @@ def test_order_over_the_limit_is_refused_before_compiling(monkeypatch, capsys, c
     code, out, err = run(capsys, command, "ex3", "--order", str(MAX_ORDER + 1))
     message = f"error: truncation order {MAX_ORDER + 1} is more than the limit of {MAX_ORDER}\n"
     assert (code, out, err) == (1, "", message)
+
+
+def _problem(rhs, init="0"):
+    return f'pde "p" {{\n  vars: x;\n  equation: D(u,t,2) = {rhs};\n  init: {init};  init_t: x;\n}}\n'
+
+
+DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("rhs, col, message", [
+    ("x*2²", 27, "unexpected character '²'"),
+    ("u^²", 26, "unexpected character '²'"),
+    ("٣*x", 24, "unexpected character '٣'"),
+    ("α*x", 24, "unexpected character 'α'"),
+    (f"{DIGITS}*x", 24, "number has more than 4300 digits"),
+    (f"x^{DIGITS}", 26, "number has more than 4300 digits"),
+    (f"D(u,x,{DIGITS})", 30, "number has more than 4300 digits"),
+], ids=["superscript-digit", "superscript-exponent", "arabic-indic-digit", "greek-letter",
+        "long-literal", "long-exponent", "long-derivative-order"])
+def test_text_outside_the_lexicon_is_a_clean_error(tmp_path, capsys, rhs, col, message):
+    path = tmp_path / "p.pde"
+    path.write_text(_problem(rhs), encoding="utf-8")
+    assert run(capsys, "solve", str(path)) == (1, "", f"error: line 3, col {col}: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_coefficient_past_the_digit_limit_is_a_clean_error(tmp_path, capsys, fmt):
+    path = tmp_path / "big.pde"
+    path.write_text(_problem("0", init="10^5000"))
+    message = "error: a coefficient or exponent has more than 4300 digits, the limit for converting an integer to text\n"
+    assert run(capsys, "solve", str(path), "--format", fmt) == (1, "", message)
+
+
+def test_figure_json_holds_the_csv_cells(capsys):
+    code, csv_out, _ = run(capsys, "figure", "ex1")
+    assert code == 0
+    code, json_out, _ = run(capsys, "figure", "ex1", "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    header, *rows = csv_out.splitlines()
+    assert payload["columns"] == header.split(",") == ["x", "t", "series", "exact", "abs_error"]
+    assert payload["order"] == 6
+    assert payload["rows"] == [row.split(",") for row in rows]
+
+
+def test_check_report_names_the_first_nonvanishing_residual_coefficient(solved):
+    spec, sol = solved(ModelId.EX3, 8)
+    spectra = list(sol.spectra)
+    spectra[4] = parse_expr("x", ["x"])
+    lines, ok = rdtm.cli._check_report(rdtm.engine.SeriesSolution(spec, tuple(spectra), 8))
+    assert not ok
+    assert lines == [
+        "FAIL: residual coefficient at t^2 does not vanish (order 8 requires vanishing through t^5)",
+        "FAIL: spectrum V_4 differs from the exact solution's Taylor coefficient",
+    ]

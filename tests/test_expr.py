@@ -220,6 +220,29 @@ class TestPrinting:
         s = to_latex(e)
         assert r"\frac{1}{6}" in s and r"\sin" in s and "e^{" in s
 
+    @pytest.mark.parametrize("e, latex", [
+        (DerivSym((("x", 2), ("y", 1))), r"\partial_{x}^{2}\partial_{y} u"),
+        (Power(Sum((x, ONE)), 2), r"\left(1 + x\right)^{2}"),
+        (Product((Power(DerivSym((("x", 1),)), 2), Power(Sum((x, y)), 3))),
+         r"\left(\partial_{x} u\right)^{2} \, \left(x + y\right)^{3}"),
+        (Product((rational(-1), x, y)), r"-x \, y"),
+        (Sum((ONE, Product((rational(-1), Sum((x, y)))))), r"1 - \left(x + y\right)"),
+        (Sum((ONE, Product((rational(-3), Sum((x, y)))))), r"1 - 3 \, \left(x + y\right)"),
+    ], ids=["derivative", "power-of-sum", "power-of-derivative", "minus-one", "negated-sum", "scaled-sum"])
+    def test_latex_forms(self, e, latex):
+        assert to_latex(simplify(e)) == latex
+
+    @pytest.mark.parametrize("render", [to_text, to_latex])
+    @pytest.mark.parametrize("e", [
+        rational(10**5000),
+        rational(1, 10**5000),
+        simplify(Product((rational(-(10**5000)), x))),
+        Power(x, 10**5000),
+    ], ids=["integer", "denominator", "coefficient", "exponent"])
+    def test_digits_past_the_limit_are_unsupported(self, render, e):
+        with pytest.raises(UnsupportedExpressionError, match="more than 4300 digits"):
+            render(e)
+
     def test_operator_overloading(self):
         e = (x + 1) * (x - 1)
         assert expand(e) == expand(Power(x, 2) - 1)

@@ -1,5 +1,6 @@
 """Expression grammar: parsing, errors with positions, print round trips."""
 
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -24,7 +25,7 @@ from rdtm.expr import (
     simplify,
     to_text,
 )
-from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_NESTING, parse_expr
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_NESTING, parse_expr, tokenize
 
 X = ["x", "y"]
 
@@ -204,3 +205,107 @@ def test_derivative_order_beyond_the_limit_is_a_parse_error(text, col):
     with pytest.raises(ParseError, match=f"exceeds {MAX_DERIVATIVE_ORDER}") as err:
         parse_expr(text, X)
     assert (err.value.line, err.value.col) == (1, col)
+
+
+def _kinds(text):
+    return [(tok.kind, tok.text, tok.line, tok.col) for tok in tokenize(text)]
+
+
+def test_each_token_class():
+    assert _kinds('pde "ex 1" { x_1: 0.5 .25 3. 7;\n}') == [
+        ("IDENT", "pde", 1, 1),
+        ("STRING", "ex 1", 1, 5),
+        ("{", "{", 1, 12),
+        ("IDENT", "x_1", 1, 14),
+        (":", ":", 1, 17),
+        ("NUMBER", "0.5", 1, 19),
+        ("NUMBER", ".25", 1, 23),
+        ("NUMBER", "3.", 1, 27),
+        ("NUMBER", "7", 1, 30),
+        (";", ";", 1, 31),
+        ("}", "}", 2, 1),
+        ("EOF", "", 2, 2),
+    ]
+    assert [tok.kind for tok in tokenize("+-*/^(),{}:;=")] == list("+-*/^(),{}:;=") + ["EOF"]
+
+
+def test_numerals_and_identifiers_split_where_their_classes_end():
+    # a numeral takes at most one '.', and an identifier never starts with a digit
+    assert _kinds("1.2.3 2x _a9") == [
+        ("NUMBER", "1.2", 1, 1),
+        ("NUMBER", ".3", 1, 4),
+        ("NUMBER", "2", 1, 7),
+        ("IDENT", "x", 1, 8),
+        ("IDENT", "_a9", 1, 10),
+        ("EOF", "", 1, 13),
+    ]
+
+
+def test_blanks_comments_and_lines():
+    assert _kinds('\tx\r\n  # "not a string\n"" y') == [
+        ("IDENT", "x", 1, 2),
+        ("STRING", "", 3, 1),
+        ("IDENT", "y", 3, 4),
+        ("EOF", "", 3, 5),
+    ]
+
+
+def test_eof_column_counts_a_trailing_comment():
+    assert _kinds("x # note") == [("IDENT", "x", 1, 1), ("EOF", "", 1, 9)]
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ('x + "abc', "unterminated string", 5),
+    ('"abc\n"', "unterminated string", 1),
+    ("x . y", "unexpected character '.'", 3),
+    ("x ! y", "unexpected character '!'", 3),
+    ("2²", "unexpected character '²'", 2),
+    ("٣", "unexpected character '٣'", 1),
+    ("café", "unexpected character 'é'", 4),
+    ("x\u00a0+ y", "unexpected character '\\xa0'", 2),
+])
+def test_characters_outside_the_lexicon(text, message, col):
+    """Only ASCII is lexed: non-ASCII digits, letters and blanks are refused."""
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert str(err.value) == f"line 1, col {col}: {message}"
+
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("text, col", [
+    (f"x + {LONG}", 5),
+    (f"x + 0.{LONG}", 5),
+    (f"x^{LONG}", 3),
+    (f"x^(-{LONG})", 5),
+    (f"D(u,x,{LONG})", 7),
+], ids=["literal", "decimal", "exponent", "negative-exponent", "derivative-order"])
+def test_numerals_past_the_digit_limit_are_parse_errors(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, X)
+    assert str(err.value) == f"line 1, col {col}: number has more than {sys.get_int_max_str_digits()} digits"
+
+
+def test_exponent_forms():
+    assert parse_expr("2^-2", X) == parse_expr("2^(-2)", X) == Rational(F(1, 4))
+    assert parse_expr("x^(2)", X) == parse_expr("x^2", X)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^(-2", "col 6: expected ), found 'end of input'"),
+    ("x^--2", "col 4: expected integer exponent, found '-'"),
+    ("x^(--2)", "col 5: expected integer exponent, found '-'"),
+    ("x^", "col 3: expected integer exponent, found 'end of input'"),
+    ("x^(-x)", "col 5: expected integer exponent, found 'x'"),
+])
+def test_malformed_exponents(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, X)
+    assert str(err.value) == f"line 1, {message}"
+
+
+def test_trailing_input_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_expr("x + y )", X)
+    assert str(err.value) == "line 1, col 7: unexpected trailing ')'"

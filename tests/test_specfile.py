@@ -107,3 +107,15 @@ def test_problem_nested_at_the_limit_solves():
         return solve_series(parse_spec_file(text), 3).spectra
 
     assert [expand(v) for v in solve(horner)] == [expand(v) for v in solve(flat)]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("vars: x y; equation: D(u,t,2) = u; init: x; init_t: x;", "col 19: unexpected trailing 'y'"),
+    ("vars: x; equation: D(u,t,2) = u u; init: x; init_t: x;", "col 43: unexpected trailing 'u'"),
+    ("vars: x; equation: D(u,t,2) = u; init: x 2; init_t: x;", "col 52: unexpected trailing '2'"),
+    ("vars: x; equation: D(u,t,2) = u; init: x; init_t: x; exact: 1)*x;", "col 72: unexpected trailing ')'"),
+], ids=["vars", "equation", "init", "exact"])
+def test_trailing_tokens_in_a_field(body, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(f'pde "p" {{ {body} }}')
+    assert str(err.value) == f"line 1, {message}"
