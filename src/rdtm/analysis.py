@@ -43,7 +43,7 @@ MAX_SIG_DIGITS = 6
 
 def rational_range(start, stop, step) -> tuple:
     """Exact rationals start, start + step, ... through stop (none if stop < start)."""
-    value, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    value, stop, step = _as_fractions((start, stop, step))
     values = []
     while value <= stop:
         values.append(value)
@@ -54,7 +54,7 @@ def rational_range(start, stop, step) -> tuple:
 def range_length(start, stop, step) -> int:
     """How many values rational_range(start, stop, step) yields, counted
     from the bounds alone; step must be positive."""
-    start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    start, stop, step = _as_fractions((start, stop, step))
     return max(0, math.floor((stop - start) / step) + 1)
 
 
@@ -72,14 +72,16 @@ def check_grid_size(lengths) -> None:
 
 
 def check_sweeps(sweeps) -> list:
-    """[(variable, start, stop, step)] with exact rational bounds, once every
-    step is positive and the cartesian sweep is within MAX_GRID_POINTS."""
+    """[(variables, start, stop, step)] with exact rational bounds, once every
+    step is positive and the cartesian sweep is within MAX_GRID_POINTS;
+    ``variables`` is one name or a tuple of names that share the range."""
     specs = []
-    for name, start, stop, step in sweeps:
-        start, stop, step = _as_fractions((start, stop, step))
+    for names, *bounds in sweeps:
+        start, stop, step = _as_fractions(bounds)
         if step <= 0:
-            raise GridError(f"sweep step for {name!r} must be positive")
-        specs.append((name, start, stop, step))
+            label = names if isinstance(names, str) else ",".join(names)
+            raise GridError(f"sweep step for {label!r} must be positive")
+        specs.append((names, start, stop, step))
     check_grid_size([range_length(start, stop, step) for _, start, stop, step in specs])
     return specs
 
@@ -102,13 +104,11 @@ def check_bindings(spatial_vars, swept, fixed=()) -> None:
         raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
 
 
-def _as_fractions(values):
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            raise GridError(f"grid value {v!r} is a float; pass an exact rational")
-        out.append(v if isinstance(v, Fraction) else Fraction(v))
-    return tuple(out)
+def _as_fractions(values) -> tuple:
+    try:
+        return tuple(map(ex.as_fraction, values))
+    except TypeError as err:
+        raise GridError(f"grid value {err}") from None
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,7 @@ class _SeriesEvaluator:
         bindings = dict(point)
         if TIME_VAR not in bindings:
             raise UnboundVariableError("the evaluation point must bind t")
-        t = bindings.pop(TIME_VAR)
-        if isinstance(t, float):
-            raise TypeError("t must be an exact rational, not a float")
-        t = t if isinstance(t, Fraction) else Fraction(t)
+        t = ex.as_fraction(bindings.pop(TIME_VAR))
         with mpmath.workdps(self.ctx.working_dps):
             exact_terms, rounded_terms = self._terms_at(bindings)
             powers, powers_mpf = self._t_powers(t)
@@ -419,7 +416,7 @@ def taylor_coefficient(e, k: int) -> ex.Expr:
 def fraction_str(value: Fraction) -> str:
     """Exact decimal string when the denominator divides a power of ten
     (3/10 -> '0.3'), plain fraction otherwise."""
-    value = value if isinstance(value, Fraction) else Fraction(value)
+    value = ex.as_fraction(value)
     den = value.denominator
     twos = fives = 0
     while den % 2 == 0:

@@ -7,7 +7,9 @@
     rdtm demo
 
 The positional problem argument is a built-in model id (ex1, ex2, ex3) or a
-path to a problem file in the DSL of rdtm.specfile.  All output is
+path to a problem file in the DSL of rdtm.specfile.  --grid, --slice and
+--sweep values are assignments such as 't=1/10:1:1/10;x,y=-0.5:0.5:1/4',
+read over the DSL's tokens by rdtm.parsing.parse_assignments.  All output is
 deterministic: identical invocations produce byte-identical bytes.
 """
 
@@ -25,12 +27,10 @@ from .analysis import (
     GridAxis,
     absolute_error_grid,
     check_bindings,
-    check_grid_size,
     check_sweeps,
     export_figure_data,
     format_scientific,
     fraction_str,
-    range_length,
     rational_range,
     render_table,
     residual_order_check,
@@ -45,6 +45,7 @@ from .models import (
     ModelId,
     builtin_model,
 )
+from .parsing import parse_assignments
 from .precision import MIN_DECIMAL_DIGITS, PrecisionContext
 from .specfile import parse_spec_file
 
@@ -67,63 +68,33 @@ def _load_problem(source):
     return parse_spec_file(text), None
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise GridError(f"not an exact rational: {text!r}") from None
+def _table_grid(text, spec, model) -> Grid2D:
+    """The grid of a --grid value, checked before either axis is built, or
+    else a built-in model's reference grid."""
+    if text is not None:
+        axes = parse_assignments(text, "--grid", 3)
+        if len(axes) != 2:
+            raise GridError("grid must have a row part and a column part separated by ';'")
+        (rows, *row_bounds), (tie, *col_bounds) = check_sweeps(axes)
+        if len(rows) != 1:
+            raise GridError("the row axis must be a single variable")
+        check_bindings(spec.spatial_vars, rows + tie)
+        row, row_values, col_values = rows[0], rational_range(*row_bounds), rational_range(*col_bounds)
+    elif model is not None:
+        row, (row_values, col_values, tie) = "t", DEFAULT_TABLE_GRID[model]
+    else:
+        raise GridError("custom problems need an explicit --grid")
+    return Grid2D(GridAxis(row, row_values), GridAxis(tie[0], col_values), tie)
 
 
-def _range_bounds(spec: str):
-    """'start:stop:step' -> (start, stop, step) as exact rationals."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise GridError(f"expected start:stop:step, got {spec!r}")
-    return tuple(_fraction(p) for p in parts)
-
-
-def _parse_grid(text: str) -> list:
-    """Grid syntax: 't=1/10:1:1/10;x=1/5:1:1/5' (or 'x,y=...' to tie several
-    spatial variables to the column axis).  Returns [(variables, bounds)] for
-    the row and the column axis, without enumerating either."""
-    parts = text.split(";")
-    if len(parts) != 2:
-        raise GridError("grid must have a row part and a column part separated by ';'")
-    axes = []
-    for part in parts:
-        names, eq, range_spec = part.partition("=")
-        if not eq:
-            raise GridError(f"expected name=start:stop:step, got {part!r}")
-        bounds = _range_bounds(range_spec)
-        if bounds[2] <= 0:
-            raise GridError("step must be positive")
-        axes.append((tuple(n.strip() for n in names.split(",")), bounds))
-    check_grid_size([range_length(*bounds) for _, bounds in axes])
-    if len(axes[0][0]) != 1:
-        raise GridError("the row axis must be a single variable")
-    return axes
-
-
-def _parse_bindings(text: str) -> dict:
-    out = {}
-    for part in text.split(";"):
-        if not part.strip():
-            continue
-        name, eq, value = part.partition("=")
-        if not eq:
-            raise GridError(f"expected name=value, got {part!r}")
-        name = name.strip()
-        if name in out:
-            raise GridError(f"slice binds {name!r} twice")
-        out[name] = _fraction(value)
-    return out
-
-
-def _parse_sweep(text: str):
-    name, eq, range_spec = text.partition("=")
-    if not eq:
-        raise GridError(f"expected name=start:stop:step, got {text!r}")
-    return (name.strip(), *_range_bounds(range_spec))
+def _one_variable_each(text, option, arity) -> list:
+    """[(name, value, ...)] of a --slice or --sweep value, whose
+    assignments bind one variable each."""
+    assignments = parse_assignments(text, option, arity)
+    for names, *_ in assignments:
+        if len(names) != 1:
+            raise GridError(f"{option} binds one variable at a time, got {','.join(names)!r}")
+    return [(names[0], *values) for names, *values in assignments]
 
 
 def _emit(text: str, out_path):
@@ -173,16 +144,7 @@ def _cmd_table(args) -> int:
     if spec.exact is None:
         raise RdtmError("table requires an exact solution ('exact:' field)")
     order = DEFAULT_TABLE_ORDER.get(model, DEFAULT_SOLVE_ORDER) if args.order is None else args.order
-    if args.grid:
-        (row, row_bounds), (cols, col_bounds) = _parse_grid(args.grid)
-        check_bindings(spec.spatial_vars, row + cols)
-        row_values, col_values = rational_range(*row_bounds), rational_range(*col_bounds)
-        grid = Grid2D(GridAxis(row[0], row_values), GridAxis(cols[0], col_values), cols)
-    elif model is not None:
-        t_values, col_values, tie = DEFAULT_TABLE_GRID[model]
-        grid = Grid2D(GridAxis("t", t_values), GridAxis(tie[0], col_values), tie)
-    else:
-        raise GridError("custom problems need an explicit --grid")
+    grid = _table_grid(args.grid, spec, model)
     ctx = PrecisionContext(args.precision)
     sol = solve_series(spec, order)
     table = absolute_error_grid(sol, spec.exact, grid, ctx)
@@ -207,16 +169,20 @@ def _cmd_figure(args) -> int:
     spec, model = _load_problem(args.problem)
     if spec.exact is None:
         raise RdtmError("figure requires an exact solution ('exact:' field)")
-    slice_bindings = {}
-    sweeps = []
-    order = args.order
-    if model is not None and not (args.slice or args.sweep):
+    slice_bindings, sweeps, order = {}, [], args.order
+    if model is not None and args.slice is None and args.sweep is None:
         slice_bindings, sweeps, default_order = DEFAULT_FIGURE[model]
         order = default_order if order is None else order
-    if args.slice:
-        slice_bindings = _parse_bindings(args.slice)
-    if args.sweep:
-        sweeps = check_sweeps([_parse_sweep(s) for s in args.sweep])
+    if args.slice is not None:
+        for name, value in _one_variable_each(args.slice, "--slice", 1):
+            if name in slice_bindings:
+                raise GridError(f"slice binds {name!r} twice")
+            slice_bindings[name] = value
+    if args.sweep is not None:
+        sweeps = [r for text in args.sweep for r in _one_variable_each(text, "--sweep", 3)]
+        if len(sweeps) != len(args.sweep):
+            raise GridError("--sweep takes one range; repeat --sweep for another")
+        sweeps = check_sweeps(sweeps)
     if not sweeps:
         raise GridError("no sweep given (use --sweep var=start:stop:step)")
     check_bindings(spec.spatial_vars, [name for name, *_ in sweeps], slice_bindings)
@@ -299,8 +265,7 @@ def _cmd_demo(args) -> int:
         check_lines, ok = _check_report(SeriesSolution(spec, sol.spectra[:n], n))
         all_ok = all_ok and ok
         out_lines.extend("   " + line for line in check_lines)
-        t_values, col_values, tie = DEFAULT_TABLE_GRID[model]
-        grid = Grid2D(GridAxis("t", t_values), GridAxis(tie[0], col_values), tie)
+        grid = _table_grid(None, spec, model)
         table = absolute_error_grid(sol, spec.exact, grid, ctx)
         worst = max(v for row in table.values for v in row)
         out_lines.append(

@@ -61,12 +61,13 @@ __all__ = [
 ATOM_KINDS = ("exp", "sin", "cos")
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a float or a str is a TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {value!r}")
+    raise TypeError(f"{value!r} is a {type(value).__name__}, not an exact rational")
 
 
 class Expr:
@@ -113,7 +114,7 @@ class Rational(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
+        object.__setattr__(self, "value", as_fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Rational(_as_fraction(value))
+        return Rational(value)
     raise TypeError(f"cannot treat {value!r} as an expression")
 
 

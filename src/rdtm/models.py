@@ -78,8 +78,8 @@ def builtin_model(model: ModelId) -> PdeSpec:
 DEFAULT_TABLE_ORDER = {ModelId.EX1: 8, ModelId.EX2: 16, ModelId.EX3: 20}
 
 
-_TENTHS = rational_range("1/10", 1, "1/10")
-_FIFTHS = rational_range("1/5", 1, "1/5")
+_TENTHS = rational_range(Fraction(1, 10), 1, Fraction(1, 10))
+_FIFTHS = rational_range(Fraction(1, 5), 1, Fraction(1, 5))
 
 # (t values, column values, spatial variables tied to the column value)
 DEFAULT_TABLE_GRID = {

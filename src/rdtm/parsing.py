@@ -32,6 +32,14 @@ parentheses or by the arguments of exp/sin/cos/D, is bounded by
 MAX_NESTING; deeper input is a ParseError rather than a RecursionError.
 The order one D(...) asks for along a variable is bounded by
 MAX_DERIVATIVE_ORDER, so the differentiation work it implies is bounded too.
+
+Command-line values (--grid, --slice, --sweep) are read over the same
+lexicon by parse_assignments:
+
+    assignments := names '=' numbers (';' names '=' numbers)*
+    names       := IDENT (',' IDENT)*
+    numbers     := number (':' number)*      # as many as the option takes
+    number      := ['-'] NUMBER ['/' NUMBER]
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from fractions import Fraction
 from . import expr as ex
 from .errors import ParseError, UndeclaredIdentifierError
 
-__all__ = ["Token", "tokenize", "parse_expr", "RESERVED_NAMES", "TIME_VAR"]
+__all__ = ["Token", "tokenize", "parse_expr", "parse_assignments", "RESERVED_NAMES", "TIME_VAR"]
 
 TIME_VAR = "t"
 RESERVED_NAMES = frozenset({"t", "u", "D", "exp", "sin", "cos"})
@@ -146,10 +154,11 @@ class TokenStream:
 
 
 def _number(tok: Token) -> Fraction:
-    """The exact value of a NUMBER token; the lexicon leaves Fraction only
-    the interpreter's int digit limit as a reason to refuse one."""
+    """The exact value of a NUMBER token; the lexicon leaves int only the
+    interpreter's digit limit as a reason to refuse one."""
+    whole, _, decimals = tok.text.partition(".")
     try:
-        return Fraction(tok.text)
+        return Fraction(int(whole + decimals), 10 ** len(decimals))
     except ValueError:
         raise ParseError(
             f"number has more than {sys.get_int_max_str_digits()} digits", tok.line, tok.col
@@ -303,3 +312,45 @@ def parse_expr(text: str, declared_vars) -> ex.Expr:
     node = parser.parse_expression()
     stream.expect_end()
     return ex.simplify(node)
+
+
+def parse_names(stream: TokenStream) -> list[Token]:
+    """names := IDENT (',' IDENT)*"""
+    names = [stream.expect("IDENT", "a variable name")]
+    while stream.accept(","):
+        names.append(stream.expect("IDENT", "a variable name"))
+    return names
+
+
+def _rational(stream: TokenStream) -> Fraction:
+    """number := ['-'] NUMBER ['/' NUMBER]"""
+    sign = -1 if stream.accept("-") else 1
+    value = _number(stream.expect("NUMBER", "a number"))
+    slash = stream.accept("/")
+    if slash:
+        divisor = _number(stream.expect("NUMBER", "a number"))
+        if not divisor:
+            raise ParseError("division by zero", slash.line, slash.col)
+        value /= divisor
+    return sign * value
+
+
+def parse_assignments(text: str, option: str, arity: int) -> list:
+    """[(names, value, ...)] of a command-line option's value, each
+    assignment with ``arity`` exact rationals (3 for start:stop:step); the
+    grammar is in the module docstring.  A ParseError names the option."""
+    try:
+        stream = TokenStream(tokenize(text))
+        assignments = []
+        while not assignments or stream.accept(";"):
+            names = tuple(tok.text for tok in parse_names(stream))
+            stream.expect("=", "'='")
+            values = [_rational(stream)]
+            while len(values) < arity:
+                stream.expect(":", "':'")
+                values.append(_rational(stream))
+            assignments.append((names, *values))
+        stream.expect_end()
+    except ParseError as err:
+        raise ParseError(f"{option}: {err}") from None
+    return assignments

@@ -59,17 +59,6 @@ def fraction_to_mpf(value: Fraction) -> mpmath.mpf:
     return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
 
 
-def _coerce_point(point) -> dict:
-    out = {}
-    for name, value in point.items():
-        if isinstance(value, float):
-            raise TypeError(
-                f"binding for {name!r} is a float; pass an exact rational instead"
-            )
-        out[name] = value if isinstance(value, Fraction) else Fraction(value)
-    return out
-
-
 def eval_number(e, point, atoms=None):
     """Evaluate a canonical expression, as given, under the current mpmath
     precision; ``eval_precise`` is the door for raw trees.
@@ -80,7 +69,8 @@ def eval_number(e, point, atoms=None):
     mpmath precision in bits); a caller that shares one dict across calls
     computes each atom once per argument, with the same result bits.
     """
-    return _eval(e, _coerce_point(point), {} if atoms is None else atoms)
+    point = {name: ex.as_fraction(value) for name, value in point.items()}
+    return _eval(e, point, {} if atoms is None else atoms)
 
 
 def _eval(e, point, atoms):

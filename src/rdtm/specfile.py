@@ -17,17 +17,13 @@ from __future__ import annotations
 from . import expr as ex
 from .engine import PdeSpec
 from .errors import ParseError, UnsupportedStructureError
-from .parsing import RESERVED_NAMES, ExprParser, Token, TokenStream, tokenize
+from .parsing import RESERVED_NAMES, ExprParser, Token, TokenStream, parse_names, tokenize
 
 __all__ = ["parse_spec_file", "serialize_spec", "FIELD_NAMES"]
 
 FIELD_NAMES = ("vars", "equation", "init", "init_t", "exact")
 
 _U_TT = ex.DerivSym((("t", 2),))
-
-
-def _substream(tokens, end: Token) -> TokenStream:
-    return TokenStream(list(tokens) + [Token("EOF", "", end.line, end.col)])
 
 
 def parse_spec_file(text: str) -> PdeSpec:
@@ -59,7 +55,7 @@ def parse_spec_file(text: str) -> PdeSpec:
         if stream.cur.kind != ";":
             raise stream.error(f"missing ';' after {field.text!r}")
         end = stream.advance()
-        fields[field.text] = (field, body, end)
+        fields[field.text] = TokenStream(body + [Token("EOF", "", end.line, end.col)])
     if stream.cur.kind != "EOF":
         raise stream.error("unexpected text after '}'")
 
@@ -75,22 +71,15 @@ def parse_spec_file(text: str) -> PdeSpec:
             head.col,
         )
 
-    field, body, end = fields["vars"]
-    vars_stream = _substream(body, end)
-
-    def variable_name():
-        tok = vars_stream.expect("IDENT", "a variable name")
+    vars_stream = fields["vars"]
+    name_tokens = parse_names(vars_stream)
+    vars_stream.expect_end()
+    for tok in name_tokens:
         if tok.text in RESERVED_NAMES:
             raise ParseError(f"variable name {tok.text!r} is reserved", tok.line, tok.col)
-        return tok.text
+    names = [tok.text for tok in name_tokens]
 
-    names = [variable_name()]
-    while vars_stream.accept(","):
-        names.append(variable_name())
-    vars_stream.expect_end()
-
-    field, body, end = fields["equation"]
-    eq_stream = _substream(body, end)
+    eq_stream = fields["equation"]
     parser = ExprParser(eq_stream, names)
     lhs = ex.simplify(parser.parse_expression())
     if eq_stream.cur.kind != "=":
@@ -105,10 +94,8 @@ def parse_spec_file(text: str) -> PdeSpec:
         )
 
     def field_expr(key):
-        field, body, end = fields[key]
-        sub = _substream(body, end)
-        node = ExprParser(sub, names).parse_expression()
-        sub.expect_end()
+        node = ExprParser(fields[key], names).parse_expression()
+        fields[key].expect_end()
         return node
 
     return PdeSpec(

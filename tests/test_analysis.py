@@ -15,6 +15,7 @@ from rdtm.analysis import (
     GridAxis,
     absolute_error_grid,
     check_grid_size,
+    check_sweeps,
     evaluate_series,
     export_figure_data,
     format_scientific,
@@ -624,6 +625,11 @@ class TestRendering:
         assert fraction_str(F(-1, 8)) == "-0.125"
         assert fraction_str(F(1, 3)) == "1/3"
 
+    @pytest.mark.parametrize("value", ["0.3", 0.3])
+    def test_fraction_str_takes_only_exact_rationals(self, value):
+        with pytest.raises(TypeError, match=f"is a {type(value).__name__}, not an exact rational"):
+            fraction_str(value)
+
     def test_csv_layout_and_quoting(self, solved):
         spec, sol = solved(ModelId.EX1, 8)
         grid = Grid2D(GridAxis("t", (F(1, 2),)), GridAxis("x", (F(1, 2),)), ("x", "y"))
@@ -712,3 +718,39 @@ class TestFigureData:
         lines = data.to_csv().splitlines()
         assert lines[0] == "t,series,exact,abs_error"
         assert len(lines) == 1 + 3
+
+
+class TestExactInput:
+    """Library entry points take an int or a Fraction; a numeral string is
+    refused like a float, so the DSL's lexicon is the only number syntax."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: rational_range("٠", "1e0", "1_0e-1"),
+        lambda: rational_range(0, 1, "1/2"),
+        lambda: range_length("0", 1, F(1, 2)),
+        lambda: GridAxis("t", (F(1, 5), "2/5")),
+        lambda: check_sweeps([("t", 0, "1", F(1, 2))]),
+    ], ids=["rational_range-unicode", "rational_range", "range_length", "GridAxis", "check_sweeps"])
+    def test_grid_values(self, call):
+        with pytest.raises(GridError, match="is a str, not an exact rational"):
+            call()
+
+    def test_slice_values(self, solved):
+        spec, sol = solved(ModelId.EX3, 6)
+        with pytest.raises(GridError, match="is a str, not an exact rational"):
+            export_figure_data(sol, spec.exact, {"x": "1/2"}, [("t", 0, 1, F(1, 2))], CTX)
+
+    @pytest.mark.parametrize("point", [
+        {"t": "٣/10", "x": "1_0e-1"},
+        {"t": F(3, 10), "x": "1/2"},
+    ], ids=["t", "x"])
+    def test_evaluation_points(self, solved, point):
+        _, sol = solved(ModelId.EX3, 6)
+        with pytest.raises(TypeError, match="is a str, not an exact rational"):
+            evaluate_series(sol, point, CTX)
+
+    def test_a_step_of_zero_has_one_message_for_one_name_or_several(self):
+        with pytest.raises(GridError, match="^sweep step for 't' must be positive$"):
+            check_sweeps([("t", 0, 1, 0)])
+        with pytest.raises(GridError, match="^sweep step for 'x,y' must be positive$"):
+            check_sweeps([(("x", "y"), 0, 1, F(-1, 2))])

@@ -2,7 +2,9 @@
 
 import json
 import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -278,15 +280,16 @@ def test_unknown_model_is_a_clean_error(tmp_path, monkeypatch, capsys):
 
 
 def test_malformed_ranges_are_clean_errors(capsys):
-    """--grid axes and --sweep ranges share the start:stop:step split."""
+    """--grid axes and --sweep ranges are read by one grammar and checked
+    by one function, so each fault has one message on both paths."""
     cases = [
-        (("table", "ex3", "--grid", "t=0:1;x=0:1:1/2"), "error: expected start:stop:step, got '0:1'"),
-        (("figure", "ex3", "--sweep", "t=0:1"), "error: expected start:stop:step, got '0:1'"),
-        (("table", "ex3", "--grid", "t=0:1:1/2;x=0:q:1/2"), "error: not an exact rational: 'q'"),
-        (("figure", "ex3", "--sweep", "t=0:q:1/2"), "error: not an exact rational: 'q'"),
-        (("table", "ex3", "--grid", "t=0:1:0;x=0:1:1/2"), "error: step must be positive"),
+        (("table", "ex3", "--grid", "t=0:1;x=0:1:1/2"), "error: --grid: line 1, col 6: expected ':', found ';'"),
+        (("figure", "ex3", "--sweep", "t=0:1"), "error: --sweep: line 1, col 6: expected ':', found 'end of input'"),
+        (("table", "ex3", "--grid", "t=0:1:1/2;x=0:q:1/2"), "error: --grid: line 1, col 15: expected a number, found 'q'"),
+        (("figure", "ex3", "--sweep", "t=0:q:1/2"), "error: --sweep: line 1, col 5: expected a number, found 'q'"),
+        (("table", "ex3", "--grid", "t=0:1:0;x=0:1:1/2"), "error: sweep step for 't' must be positive"),
         (("figure", "ex3", "--sweep", "t=0:1:-1/2"), "error: sweep step for 't' must be positive"),
-        (("figure", "ex3", "--sweep", "t0:1:1/2"), "error: expected name=start:stop:step, got 't0:1:1/2'"),
+        (("figure", "ex3", "--sweep", "t0:1:1/2"), "error: --sweep: line 1, col 3: expected '=', found ':'"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -401,6 +404,48 @@ def test_a_tiny_sweep_step_is_refused_before_the_solve(monkeypatch, capsys):
     assert err == f"error: grid has 10000001 points, more than the limit of {MAX_GRID_POINTS}\n"
 
 
+@pytest.mark.parametrize("command, option", [("table", "--grid"), ("figure", "--slice")])
+def test_an_empty_value_is_not_a_missing_option(monkeypatch, capsys, command, option):
+    """An empty --grid used to print the reference table, and an empty
+    --slice the default figure."""
+    _refuse_work(monkeypatch)
+    code, out, err = run(capsys, command, "ex3", "--order", "6", option, "")
+    assert (code, out, err) == (1, "", f"error: {option}: line 1, col 1: expected a variable name, found 'end of input'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "ex1", "--grid", "t,x=0:1:1/2;y=0:1:1/2"), "the row axis must be a single variable"),
+    (("table", "ex3", "--grid", "t=0:1:1/2"), "grid must have a row part and a column part separated by ';'"),
+    (("table", "ex3", "--grid", "t=0:1:1/2;x=0:1:1/2;x=0:1:1/2"),
+     "grid must have a row part and a column part separated by ';'"),
+    (("figure", "ex1", "--slice", "t=1/2", "--sweep", "x,y=0:1:1/2"), "--sweep binds one variable at a time, got 'x,y'"),
+    (("figure", "ex1", "--slice", "x,y=1/2", "--sweep", "t=0:1:1/2"), "--slice binds one variable at a time, got 'x,y'"),
+    (("figure", "ex1", "--slice", "y=1/2", "--sweep", "x=0:1:1/2;t=0:1:1/2"),
+     "--sweep takes one range; repeat --sweep for another"),
+], ids=["tied-row", "one-range-grid", "three-range-grid", "tied-sweep", "tied-slice", "two-ranges-in-one-sweep"])
+def test_values_of_the_wrong_shape_are_clean_errors(monkeypatch, capsys, argv, message):
+    _refuse_work(monkeypatch)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "ex3", "--grid", "t=1e-1:2e-1:1e-1;x=3/10:1:1/2"), "--grid: line 1, col 4: expected ':', found 'e'"),
+    (("table", "ex3", "--grid", "t=1/10:1:1/2;x=٣/10:1:1/2"), "--grid: line 1, col 16: unexpected character '٣'"),
+    (("figure", "ex3", "--slice", "x=1_0e-1", "--sweep", "t=0:1:1/2"), "--slice: line 1, col 4: unexpected trailing '_0e'"),
+    (("figure", "ex3", "--slice", "x=+1/2", "--sweep", "t=0:1:1/2"), "--slice: line 1, col 3: expected a number, found '+'"),
+    (("figure", "ex3", "--slice", "=1/2", "--sweep", "t=0:1:1/2"), "--slice: line 1, col 1: expected a variable name, found '='"),
+    (("figure", "ex3", "--slice", "x,=1/2", "--sweep", "t=0:1:1/2"),
+     "--slice: line 1, col 3: expected a variable name, found '='"),
+    (("figure", "ex3", "--slice", "x=1/2;", "--sweep", "t=0:1:1/2"),
+     "--slice: line 1, col 7: expected a variable name, found 'end of input'"),
+], ids=["exponent", "arabic-indic-digit", "underscore", "leading-plus", "no-name", "empty-name", "trailing-semicolon"])
+def test_numbers_outside_the_lexicon_are_clean_errors(monkeypatch, capsys, argv, message):
+    """The first four used to be read by Python's own number syntax, and the
+    last three ended in a misleading error or none."""
+    _refuse_work(monkeypatch)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "ex3", "--precision", "20"),
     ("solve", "ex3", "--sig-digits", "3"),
@@ -490,3 +535,19 @@ def test_check_report_names_the_first_nonvanishing_residual_coefficient(solved):
         "FAIL: residual coefficient at t^2 does not vanish (order 8 requires vanishing through t^5)",
         "FAIL: spectrum V_4 differs from the exact solution's Taylor coefficient",
     ]
+
+
+def _readme_commands():
+    """The `rdtm ...` lines of README's "Command line" block, but the one
+    that needs a problem file of the reader's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("rdtm ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines if "my_problem.pde" not in line]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

@@ -1,5 +1,6 @@
 """Expression grammar: parsing, errors with positions, print round trips."""
 
+import random
 import sys
 from fractions import Fraction as F
 from math import factorial
@@ -25,7 +26,8 @@ from rdtm.expr import (
     simplify,
     to_text,
 )
-from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_NESTING, parse_expr, tokenize
+from rdtm.analysis import fraction_str
+from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_NESTING, parse_assignments, parse_expr, tokenize
 
 X = ["x", "y"]
 
@@ -309,3 +311,62 @@ def test_trailing_input_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_expr("x + y )", X)
     assert str(err.value) == "line 1, col 7: unexpected trailing ')'"
+
+
+# Command-line values: assignments of exact rationals over the same lexicon.
+
+
+@pytest.mark.parametrize("text, arity, expected", [
+    ("x=1", 1, [(("x",), F(1))]),
+    ("x=-2", 1, [(("x",), F(-2))]),
+    ("x=0.25", 1, [(("x",), F(1, 4))]),
+    ("x=3/10", 1, [(("x",), F(3, 10))]),
+    ("x=-3/10", 1, [(("x",), F(-3, 10))]),
+    ("x=1.5/0.5", 1, [(("x",), F(3))]),
+    ("x=.5;y=3.", 1, [(("x",), F(1, 2)), (("y",), F(3))]),
+    ("t=1/10:1:1/10", 3, [(("t",), F(1, 10), F(1), F(1, 10))]),
+    ("t=-1:1:1/4;x,y=0:1:0.5", 3, [(("t",), F(-1), F(1), F(1, 4)), (("x", "y"), F(0), F(1), F(1, 2))]),
+    (" t = - 1 / 2 : 1 : 1 \t; x_1 , y=0:1:1 ", 3, [(("t",), F(-1, 2), F(1), F(1)), (("x_1", "y"), F(0), F(1), F(1))]),
+], ids=["integer", "negative", "decimal", "fraction", "negative-fraction", "decimal-fraction",
+        "assignments", "range", "ranges-and-names", "blanks"])
+def test_assignments(text, arity, expected):
+    assert parse_assignments(text, "--opt", arity) == expected
+
+
+@pytest.mark.parametrize("text, arity, message", [
+    ("x=٣/10", 1, "col 3: unexpected character '٣'"),
+    ("x=1_0", 1, "col 4: unexpected trailing '_0'"),
+    ("x=1e-1", 1, "col 4: unexpected trailing 'e'"),
+    ("t=1e-1:1:1", 3, "col 4: expected ':', found 'e'"),
+    ("x=+1/2", 1, "col 3: expected a number, found '+'"),
+    ("=1/2", 1, "col 1: expected a variable name, found '='"),
+    ("x,=1/2", 1, "col 3: expected a variable name, found '='"),
+    ("x=1/2;", 1, "col 7: expected a variable name, found 'end of input'"),
+    ("", 1, "col 1: expected a variable name, found 'end of input'"),
+    ("x 1", 1, "col 3: expected '=', found '1'"),
+    ("x=", 1, "col 3: expected a number, found 'end of input'"),
+    ("x=--1", 1, "col 4: expected a number, found '-'"),
+    ("x=1/-2", 1, "col 5: expected a number, found '-'"),
+    ("x=1/0", 1, "col 4: division by zero"),
+    ("x=1:2", 1, "col 4: unexpected trailing ':'"),
+    ("t=0:1", 3, "col 6: expected ':', found 'end of input'"),
+    ("t=0:1;x=0:1:1", 3, "col 6: expected ':', found ';'"),
+    ("t=0:1:1:2", 3, "col 8: unexpected trailing ':'"),
+], ids=["arabic-indic-digit", "underscore", "exponent", "exponent-in-range", "leading-plus", "no-name",
+        "empty-name", "trailing-semicolon", "empty", "no-equals", "no-number", "two-signs",
+        "signed-denominator", "zero-denominator", "range-for-a-value", "short-range", "short-first-range",
+        "long-range"])
+def test_malformed_assignments(text, arity, message):
+    with pytest.raises(ParseError) as err:
+        parse_assignments(text, "--opt", arity)
+    assert str(err.value) == f"--opt: line 1, {message}"
+
+
+def test_printed_rationals_parse_back():
+    """str() and fraction_str() of a Fraction, as benchmark command lines and
+    copied table headers pass them, read back to the same value."""
+    rng = random.Random(11)
+    for _ in range(500):
+        value = F(rng.randint(-10**6, 10**6), rng.choice([1, 2, 8, 10, 3, 7, rng.randint(1, 10**6)]))
+        for text in (str(value), fraction_str(value)):
+            assert parse_assignments(f"x={text}", "--opt", 1) == [(("x",), value)], text

@@ -74,6 +74,14 @@ def test_floats_rejected():
         eval_precise(Var("x"), {"x": 0.1}, CTX50)
 
 
+@pytest.mark.parametrize("value", ["1/2", "٣", "1_0e-1"])
+def test_numeral_strings_rejected(value):
+    with pytest.raises(TypeError, match="is a str, not an exact rational"):
+        eval_precise(Var("x"), {"x": value}, CTX50)
+    with pytest.raises(TypeError, match="is a str, not an exact rational"):
+        eval_number(Var("x"), {"x": value})
+
+
 def test_precision_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(10)
