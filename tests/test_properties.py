@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rdtm import expr as ex
 from rdtm.engine import cauchy_product
 from rdtm.parsing import parse_expr
-from rdtm.precision import PrecisionContext, eval_precise
+from rdtm.precision import PrecisionContext, eval_precise, fraction_to_mpf
 
 from oracles import nested_convolution
 
@@ -131,11 +131,14 @@ def test_derivative_matches_central_difference(e, x0):
     d3 = ex.differentiate(e, "x", 3)
     up = eval_precise(ex.substitute(e, {"x": x0 + h}), {"y": F(1, 3)}, ctx)
     down = eval_precise(ex.substitute(e, {"x": x0 - h}), {"y": F(1, 3)}, ctx)
-    fd = (up - down) / (2 * mpmath.mpf(10) ** -6)
     exact = eval_precise(d1, {"x": x0, "y": F(1, 3)}, ctx)
     third = eval_precise(d3, {"x": x0, "y": F(1, 3)}, ctx)
-    bound = (abs(third) + 1) * mpmath.mpf(10) ** -12
-    assert abs(fd - exact) <= bound
+    # compare at the context's precision: at mpmath's default 53 bits the
+    # rounding of the quotient alone exceeds the bound once |f'| nears 10^4
+    with mpmath.workdps(ctx.working_dps):
+        fd = (up - down) / (2 * fraction_to_mpf(h))
+        bound = (abs(third) + 1) * mpmath.mpf(10) ** -12
+        assert abs(fd - exact) <= bound
 
 
 @given(
