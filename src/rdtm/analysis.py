@@ -17,8 +17,9 @@ from fractions import Fraction
 import mpmath
 
 from . import expr as ex
-from .engine import SeriesSolution, substitute_derivatives
+from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError, UnboundVariableError
+from .packed import Packing
 from .parsing import MAX_GRID_POINTS, TIME_VAR
 from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 
@@ -314,90 +315,39 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
     least N-2 (so always >= N-3); returns sol.order when the residual is
     identically zero through its whole t-degree.
 
-    The residual's coefficients are formed in t-truncated arithmetic: a
-    product of series never forms a coefficient of t^N or higher, where N is
-    sol.order, so the whole-series products of the right-hand side cost
-    O(N^2) coefficient products instead of running out to their full
-    t-degree.  Only when every coefficient below t^N vanishes, and the
-    residual's t-degree D reaches N, is it formed once more with the bound
-    D + 1, so the first nonzero coefficient above t^N is still found.  The
-    return value is the same as that of a full expansion in every case.
+    The series and the residual are packed polynomials with t as one more
+    field, formed in t-truncated arithmetic: a product of series never forms
+    a term of t^N or higher, where N is sol.order, so the whole-series
+    products of the right-hand side cost O(N^2) coefficient products instead
+    of running out to their full t-degree.  Only when every coefficient below
+    t^N vanishes, and the residual's t-degree D reaches N, is it formed once
+    more with the bound D + 1, so the first nonzero coefficient above t^N is
+    still found.  The return value is the same as that of a full expansion
+    in every case.
     """
-    series = sol.to_expr()
-    u_tt = ex.differentiate(series, TIME_VAR, 2)
-    residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
-    degree = min(_t_coefficients(residual, sol.order), default=None)
-    if degree is None:
-        top = _t_degree(residual)
-        if top >= sol.order:
-            degree = min(_t_coefficients(residual, top + 1), default=None)
+    packing = Packing((spec.rhs, *sol.spectra))
+    t = ex.Var(TIME_VAR)
+    series = ex.Sum(tuple(ex.Product((v, ex.Power(t, k))) for k, v in enumerate(sol.spectra)))
+    residual = ex.Sum((ex.deriv_sym({TIME_VAR: 2}), ex.Product((ex.rational(-1), spec.rhs))))
+
+    def lowest_degree(bound):
+        """(lowest t-degree of a nonzero residual coefficient below bound, or
+        None; the residual's t-degree)"""
+        packed_series = packing.from_expr(series, bound)[0]
+        images = {}
+
+        def image(orders):
+            if orders not in images:
+                images[orders] = packing.diff(packed_series, orders)
+            return images[orders]
+
+        terms, top = packing.from_expr(residual, bound, image)
+        return min(packing.t_degrees(terms), default=None), top
+
+    degree, top = lowest_degree(sol.order)
+    if degree is None and top >= sol.order:
+        degree, _ = lowest_degree(top + 1)
     return sol.order if degree is None else degree
-
-
-_T = ex.Var(TIME_VAR)
-
-
-def _t_coefficients(e, bound) -> dict:
-    """{degree: nonzero expanded coefficient} of e as a power series in t,
-    for the degrees below bound.
-
-    Sums add, and products and powers of sums multiply coefficient by
-    coefficient.  Every other node is a canonical leaf, already expanded
-    and split by _t_leaf.  Degrees are never negative, so a product skips
-    each pair of coefficients whose degrees reach bound.
-    """
-    if isinstance(e, ex.Sum):
-        return _merge_by_degree(
-            (degree, c) for term in e.terms for degree, c in _t_coefficients(term, bound).items()
-        )
-    if isinstance(e, ex.Product):
-        factors = [_t_coefficients(f, bound) for f in e.factors]
-    elif isinstance(e, ex.Power) and isinstance(e.base, ex.Sum):
-        factors = [_t_coefficients(e.base, bound)] * e.exponent
-    else:
-        if e == ex.ZERO:
-            return {}
-        degree, coefficient = _t_leaf(e)
-        return {degree: coefficient} if degree < bound else {}
-    result = factors[0]
-    for factor in factors[1:]:
-        result = _merge_by_degree(
-            (da + db, ex.mul_expanded(ca, cb))
-            for da, ca in result.items()
-            for db, cb in factor.items()
-            if da + db < bound
-        )
-    return result
-
-
-def _t_degree(e) -> int:
-    """Highest t-degree a term of e can reach, by the rules of _t_coefficients."""
-    if isinstance(e, ex.Sum):
-        return max(_t_degree(term) for term in e.terms)
-    if isinstance(e, ex.Product):
-        return sum(_t_degree(f) for f in e.factors)
-    if isinstance(e, ex.Power) and isinstance(e.base, ex.Sum):
-        return _t_degree(e.base) * e.exponent
-    return _t_leaf(e)[0]
-
-
-def _t_leaf(e) -> tuple:
-    """(degree, coefficient) of a canonical leaf: t and t^n carry their
-    degree, and any other leaf (t inside an atom argument included) is a
-    degree-0 coefficient, as collect_powers would split it."""
-    if e == _T:
-        return 1, ex.ONE
-    if isinstance(e, ex.Power) and e.base == _T:
-        return e.exponent, ex.ONE
-    return 0, e
-
-
-def _merge_by_degree(pairs) -> dict:
-    parts = {}
-    for degree, c in pairs:
-        parts.setdefault(degree, []).append(c)
-    merged = {degree: ex.add_expanded(cs) for degree, cs in parts.items()}
-    return {degree: c for degree, c in merged.items() if c != ex.ZERO}
 
 
 def taylor_coefficient(e, k: int) -> ex.Expr:
@@ -504,7 +454,8 @@ def export_figure_data(
     """Columnar dataset over a cartesian sweep with the remaining variables
     fixed by the slice: (sweep values..., series, exact, abs error).
 
-    ``sweeps`` is a sequence of (variable, start, stop, step) with exact
+    ``sweeps`` is a sequence of (variable, start, stop, step) with one
+    variable name each (a tuple of tied names is a GridError) and exact
     rational bounds, and slice values are exact rationals too (a float is a
     GridError); after applying the slice, exactly the sweep variables must
     remain unbound.  As in ``absolute_error_grid``, spectra, t-powers
@@ -514,6 +465,9 @@ def export_figure_data(
     fixed = dict(zip(slice_bindings, _as_fractions(slice_bindings.values())))
     sweep_specs = check_sweeps(sweeps)
     sweep_names = [name for name, *_ in sweep_specs]
+    for name in sweep_names:
+        if not isinstance(name, str):
+            raise GridError(f"a figure sweep varies one variable, not {name!r}")
     check_bindings(sol.spec.spatial_vars, sweep_names, fixed)
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
     rows = tuple(

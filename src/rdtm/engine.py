@@ -14,11 +14,18 @@ recurrence is an online power-series computation: step k needs only the
 newest coefficient of every product.  A solve therefore keeps one
 RecurrenceState whose memos (derivative images, and the product sequences of
 shared sorted factor prefixes) each step extends by one entry, so K spectra
-cost O(K^2) expression convolutions per factor rather than O(K^3).
+cost O(K^2) convolutions per factor rather than O(K^3).  The memos hold
+packed sparse polynomials (rdtm.packed), in which a derivative image is
+exponent shifts plus the chain rules of exp, sin and cos, and a product of
+monomials is one integer addition; expression trees appear only where the
+initial spectra and the coefficients are packed and where each new spectrum
+is converted to its canonical expanded tree, once.
 
-Everything is exact: spectra are expressions with rational coefficients, so
-two runs produce structurally identical output and the order in which a
-step's additive terms are summed cannot change the result.
+Everything is exact: spectra have rational coefficients, and both forms are
+canonical, so two runs produce structurally identical output and the order
+in which a step's additive terms are summed cannot change the result.
+``cauchy_product`` is the reference fold over expression trees that the
+tests compare the packed recurrence against.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .errors import (
     UnsupportedCoefficientError,
     UnsupportedStructureError,
 )
+from .packed import Packing
 from .parsing import MAX_ORDER, RESERVED_NAMES, TIME_VAR
 
 __all__ = [
@@ -233,7 +241,7 @@ def cauchy_product(sequences, k: int) -> ex.Expr:
 
     This is the reference fold and is not on the solve path: RecurrenceState
     computes every product coefficient online by the same pairwise formula,
-    and the tests check the two against each other.
+    in the packed form, and the tests check the two against each other.
     """
     if not sequences:
         raise ValueError("at least one sequence is required")
@@ -254,12 +262,6 @@ def cauchy_product(sequences, k: int) -> ex.Expr:
     return partial[k]
 
 
-def _apply_orders(e, orders):
-    for var, order in orders:
-        e = ex.differentiate(e, var, order)
-    return ex.expand(e)
-
-
 class RecurrenceState:
     """The spectra of one solve so far, with the memos that make it online.
 
@@ -270,18 +272,26 @@ class RecurrenceState:
     the images of f_m.  Terms share prefixes, e.g. u*u_x inside u*u_x*u_xx,
     and a step reads only the newest coefficient of each product, so each
     step extends every sequence by one entry.
+
+    Images, products, term coefficients and ``packed`` (the spectra) are
+    packed polynomials of one ``Packing``, fixed from the initial spectra
+    and the coefficients; ``spectra`` holds the same spectra as canonical
+    expanded trees, each new one converted once.
     """
 
     def __init__(self, rec: SpectralRecurrence, spectra):
         self.rec = rec
         self.spectra = list(spectra)
+        self.packing = Packing((*self.spectra, *(term.coefficient for term in rec.terms)))
+        self.packed = [self.packing.from_expr(v)[0] for v in self.spectra]
+        self.coefficients = {term: self.packing.from_expr(term.coefficient)[0] for term in rec.terms}
         self.images = {}
         self.products = {}
 
     def _images(self, orders, upto):
         seq = self.images.setdefault(orders, [])
         for i in range(len(seq), upto + 1):
-            seq.append(_apply_orders(self.spectra[i], orders))
+            seq.append(self.packing.diff(self.packed[i], orders))
         return seq
 
     def _products(self, factors, upto):
@@ -292,17 +302,20 @@ class RecurrenceState:
             head = self._products(factors[:-1], upto)
             last = self._images(factors[-1], upto)
             for j in range(len(seq), upto + 1):
-                seq.append(ex.add_expanded(ex.mul_expanded(head[r], last[j - r]) for r in range(j + 1)))
+                entry = {}
+                for r in range(j + 1):
+                    self.packing.mul_into(entry, head[r], last[j - r])
+                seq.append(self.packing.settled(entry))
         return seq
 
-    def contribution(self, term: RecurrenceTerm, k: int) -> ex.Expr:
-        """Value of one recurrence term at index k."""
+    def contribution(self, term: RecurrenceTerm, k: int) -> dict:
+        """Value of one recurrence term at index k, packed."""
         j = k - term.time_shift
         if j < 0:
-            return ex.ZERO
+            return {}
         if term.factors == (SOURCE,):
-            return term.coefficient if j == 0 else ex.ZERO
-        return ex.mul_expanded(term.coefficient, self._products(term.factors, j)[j])
+            return self.coefficients[term] if j == 0 else {}
+        return self.packing.mul(self.coefficients[term], self._products(term.factors, j)[j])
 
     def step(self) -> ex.Expr:
         """Append and return V_{k+2}, where the spectra run through index k+1.
@@ -311,15 +324,19 @@ class RecurrenceState:
         the sum is merged so that cancellations happen at every step.
         """
         k = len(self.spectra) - 2
-        total = ex.add_expanded(self.contribution(t, k) for t in self.rec.terms)
-        spectrum = ex.mul_expanded(total, ex.rational(1, (k + 1) * (k + 2)))
-        self.spectra.append(spectrum)
-        return spectrum
+        total = {}
+        for term in self.rec.terms:
+            self.packing.add_into(total, self.contribution(term, k))
+        spectrum = self.packing.mul(total, {0: {0: Fraction(1, (k + 1) * (k + 2))}})
+        self.packed.append(spectrum)
+        self.spectra.append(self.packing.to_expr(spectrum))
+        return self.spectra[-1]
 
 
 def evaluate_term(term: RecurrenceTerm, spectra, k: int) -> ex.Expr:
     """Contribution of one recurrence term at index k, given spectra 0..k."""
-    return RecurrenceState(SpectralRecurrence((term,)), spectra).contribution(term, k)
+    state = RecurrenceState(SpectralRecurrence((term,)), spectra)
+    return state.packing.to_expr(state.contribution(term, k))
 
 
 def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:

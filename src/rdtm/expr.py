@@ -19,8 +19,14 @@ tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
 tree comes in: the parser, ``PdeSpec``, ``RecurrenceTerm`` and the public
 entry points (``simplify``, ``expand``, ``differentiate``, ``substitute``,
 ``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
-``add_expanded``, ``precision.eval_number`` and ``precision.eval_canonical``
-require canonical input.
+``add_expanded``, ``monomial``, ``precision.eval_number`` and
+``precision.eval_canonical`` require canonical input.
+
+The recurrence and the residual check do not multiply trees: they work on
+packed sparse polynomials (``rdtm.packed``), which read canonical trees and
+build their results back with ``monomial`` and ``add_expanded``.  Trees are
+the form of the parser, the printers, the evaluator and the reference fold
+``engine.cauchy_product``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ __all__ = [
     "differentiate",
     "substitute",
     "addends",
+    "monomial",
     "collect_powers",
+    "subtrees",
     "free_vars",
     "contains_derivsym",
     "to_text",
@@ -241,7 +249,7 @@ def _canon(e) -> Expr:
 
 def _first_unsupported(e):
     """First Atom or DerivSym node inside e, or None if e is polynomial."""
-    return next((node for node in _subtrees(e) if isinstance(node, (Atom, DerivSym))), None)
+    return next((node for node in subtrees(e) if isinstance(node, (Atom, DerivSym))), None)
 
 
 def _canon_atom(kind, argument) -> Expr:
@@ -415,6 +423,15 @@ def mul_expanded(a, b) -> Expr:
     return _canon_sum([_canon_product([ta, tb]) for ta in addends(a) for tb in addends(b)])
 
 
+def monomial(coeff, powers) -> Expr:
+    """Canonical term coeff * prod(base^n) from nonzero coeff and
+    (base, n) pairs of distinct canonical bases with n >= 1, exp only with
+    n = 1."""
+    factors = [base if n == 1 else Power(base, n) for base, n in powers]
+    factors.sort(key=_factor_key)
+    return _build_term(coeff, tuple(factors))
+
+
 def add_expanded(parts) -> Expr:
     """Sum of canonical expanded expressions, expanded and merged."""
     return _canon_sum(list(parts))
@@ -521,7 +538,7 @@ def _sub(e, table) -> Expr:
 # Structure queries
 
 
-def _subtrees(e):
+def subtrees(e):
     """Every node of e, atom arguments included, in a fixed pre-order: a
     node comes before its children, and the last child is visited first."""
     stack = [e]
@@ -540,11 +557,11 @@ def _subtrees(e):
 
 def free_vars(e) -> frozenset:
     """Names of variables occurring in e (inside atom arguments included)."""
-    return frozenset(node.name for node in _subtrees(e) if isinstance(node, Var))
+    return frozenset(node.name for node in subtrees(e) if isinstance(node, Var))
 
 
 def contains_derivsym(e) -> bool:
-    return any(isinstance(node, DerivSym) for node in _subtrees(e))
+    return any(isinstance(node, DerivSym) for node in subtrees(e))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from rdtm.analysis import (
 )
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
-from rdtm.expr import ZERO, Product, Sum, Var, addends, deriv_sym, rational, simplify, to_text
+from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, to_text
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
+from rdtm.packed import Packing
 from rdtm.parsing import MAX_GRID_POINTS, parse_expr
 from rdtm.precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
 from rdtm.specfile import parse_spec_file
@@ -549,38 +550,45 @@ class TestTruncatedResidual:
         spec = parse_spec_file(problem)
         sol = solve_series(spec, order)
         assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
-        seen = set()
-        original = rdtm.analysis._t_coefficients
+        seen = []
+        original = Packing.from_expr
 
-        def recording(e, bound):
-            seen.add(bound)
-            return original(e, bound)
+        def recording(self, e, below=None, images=None):
+            seen.append(below)
+            return original(self, e, below, images)
 
-        monkeypatch.setattr(rdtm.analysis, "_t_coefficients", recording)
+        monkeypatch.setattr(Packing, "from_expr", recording)
         assert residual_order_check(spec, sol) == vanish
-        assert seen == bounds
+        assert seen and set(seen) == bounds
 
     def test_products_stop_at_the_truncation_order(self, monkeypatch):
         """Monomial pairs multiplied during the check of growing.pde at order
-        8: 4333 with truncation, 28512 when the residual is expanded to its
+        8: 2534 with truncation, 25008 when the residual is expanded to its
         whole t-degree."""
         spec = parse_spec_file(GROWING_PDE.read_text())
         sol = solve_series(spec, 8)
         pairs = [0]
-        original = rdtm.expr.mul_expanded
+        original = Packing.mul_into
 
-        def counting(a, b):
-            pairs[0] += len(addends(a)) * len(addends(b))
-            return original(a, b)
+        def counting(self, out, a, b, below=None):
+            pairs[0] += sum(
+                1
+                for group_a in a.values()
+                for group_b in b.values()
+                for ka in group_a
+                for kb in group_b
+                if below is None or (ka >> self.t_shift) + (kb >> self.t_shift) < below
+            )
+            return original(self, out, a, b, below)
 
-        monkeypatch.setattr(rdtm.expr, "mul_expanded", counting)
+        monkeypatch.setattr(Packing, "mul_into", counting)
         assert residual_order_check(spec, sol) == 6
-        assert pairs[0] < 10000, pairs[0]
+        assert 0 < pairs[0] < 10000, pairs[0]
 
     def test_leaves_are_split_without_re_expansion(self, monkeypatch, solved):
-        """A canonical leaf of the residual is already expanded and shows its
-        t-degree, so splitting it takes no simplify call: the check of ex1 at
-        order 6 makes 356 calls, and 1373 when every leaf went through
+        """The residual is packed from its canonical leaves as they stand, so
+        the check of ex1 at order 6 calls simplify not at all; walking the
+        residual tree made 356 calls, and 1373 when every leaf went through
         collect_powers."""
         spec, sol = solved(ModelId.EX1, 6)
         calls = [0]
@@ -592,7 +600,7 @@ class TestTruncatedResidual:
 
         monkeypatch.setattr(rdtm.expr, "simplify", counting)
         assert residual_order_check(spec, sol) == 4
-        assert calls[0] < 600, calls[0]
+        assert calls[0] == 0, calls[0]
 
 
 class TestTaylorCoefficient:
@@ -698,6 +706,13 @@ class TestFigureData:
             export_figure_data(
                 sol, spec.exact, {"x": 1, "t": 0}, [("t", 0, 1, F(1, 2))], CTX
             )
+
+    @pytest.mark.parametrize("fixed", [{"z": 1}, {}], ids=["unknown-slice", "no-slice"])
+    def test_tied_sweep_names_rejected(self, solved, fixed):
+        """A table column may tie variables; a figure sweep varies one."""
+        spec, sol = solved(ModelId.EX1, 4)
+        with pytest.raises(GridError, match=r"a figure sweep varies one variable, not \('x', 'y'\)"):
+            export_figure_data(sol, spec.exact, fixed, [(("x", "y"), 0, 1, F(1, 2))], CTX)
 
     @pytest.mark.parametrize("fixed, sweep", [
         # read as binary fractions, this sweep stops short of 3/10: 3 rows, not 4

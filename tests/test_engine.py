@@ -7,6 +7,7 @@ import pytest
 
 import rdtm.engine
 import rdtm.expr
+import rdtm.packed
 
 from rdtm.engine import (
     SOURCE,
@@ -19,9 +20,11 @@ from rdtm.engine import (
     solve_series,
     substitute_derivatives,
 )
+from rdtm.cli import main
 from rdtm.errors import (
     InvalidOrderError,
     UnsupportedCoefficientError,
+    UnsupportedExpressionError,
     UnsupportedStructureError,
 )
 from rdtm.expr import (
@@ -41,6 +44,7 @@ from rdtm.expr import (
     to_text,
 )
 from rdtm.models import ModelId, builtin_model
+from rdtm.packed import Packing
 from rdtm.parsing import MAX_ORDER, parse_expr
 from rdtm.specfile import parse_spec_file
 
@@ -373,44 +377,53 @@ class TestRecurrenceState:
         assert ((), ()) in state.products and len(state.products) < unshared
 
     def test_solve_cost_grows_quadratically(self, monkeypatch, solved):
-        """ex2 spectra are single terms, so kernel calls count convolution
+        """ex2 spectra are single terms, so packed products count convolution
         terms: O(K^2) per solve gives a ratio near 4 from order 10 to 20,
         the per-step recompute O(K^3) near 8."""
         spec, _ = solved(ModelId.EX2, 2)
         calls = [0]
-        original = rdtm.expr.mul_expanded
+        original = Packing.mul_into
 
-        def counting(a, b):
+        def counting(self, out, a, b, below=None):
             calls[0] += 1
-            return original(a, b)
+            return original(self, out, a, b, below)
 
-        monkeypatch.setattr(rdtm.expr, "mul_expanded", counting)
+        monkeypatch.setattr(Packing, "mul_into", counting)
         counts = []
         for order in (10, 20):
             calls[0] = 0
             solve_series(spec, order)
             counts.append(calls[0])
-        assert counts[1] < 6 * counts[0], counts
+        assert 0 < counts[0] and counts[1] < 6 * counts[0], counts
 
     def test_solve_does_not_recanonicalize_kernel_results(self, monkeypatch, solved):
-        """Steps merge canonical products with add_expanded, so simplify runs
-        only on raw trees.  Re-simplifying every convolution entry and step
-        sum would grow like the O(K^3) recompute (3.7x from order 10 to 20)."""
+        """Trees are packed only where they come in: the initial spectra, the
+        term coefficients and the exp arguments, and each new spectrum is
+        converted to a tree once.  Packing every spectrum again for its
+        images, or every convolution entry, would grow like the O(K^3)
+        recompute (3.7x from order 10 to 20)."""
         spec, _ = solved(ModelId.EX2, 2)
-        calls = [0]
-        original = rdtm.expr.simplify
+        calls = {"from_expr": 0, "to_expr": 0}
+        from_expr, to_expr = Packing.from_expr, Packing.to_expr
 
-        def counting(e):
-            calls[0] += 1
-            return original(e)
+        def packing(self, e, below=None, images=None):
+            calls["from_expr"] += 1
+            return from_expr(self, e, below, images)
 
-        monkeypatch.setattr(rdtm.expr, "simplify", counting)
+        def converting(self, p):
+            calls["to_expr"] += 1
+            return to_expr(self, p)
+
+        monkeypatch.setattr(Packing, "from_expr", packing)
+        monkeypatch.setattr(Packing, "to_expr", converting)
         counts = []
         for order in (10, 20):
-            calls[0] = 0
+            calls.update(from_expr=0, to_expr=0)
             solve_series(spec, order)
-            counts.append(calls[0])
-        assert counts[1] < 3 * counts[0], counts
+            counts.append(dict(calls))
+        packed = [c["from_expr"] for c in counts]
+        assert 0 < packed[0] and packed[1] < 3 * packed[0], counts
+        assert [c["to_expr"] for c in counts] == [8, 18], counts
 
     def test_coefficients_are_expanded_once_at_compile_time(self, monkeypatch, solved):
         """Terms store their coefficients expanded, so a contribution whose
@@ -431,3 +444,29 @@ class TestRecurrenceState:
         for term in state.rec.terms:
             state.contribution(term, 0)
         assert calls[0] == 0
+
+
+# V_0 = x^70000, and V_4 = x^210000/12: exponents far past 16 bits.
+LARGE_EXPONENT_PDE = 'pde "large" { vars: x; equation: D(u,t,2) = u*u; init: x^70000; init_t: 0; }'
+
+
+class TestPackedFieldWidth:
+    """Exponent fields are sized from the inputs, and an exponent that
+    outgrows its field is refused, never carried into the next field."""
+
+    def test_large_exponents_match_reference_fold(self):
+        assert_matches_reference(parse_spec_file(LARGE_EXPONENT_PDE), 6)
+
+    def test_an_exponent_past_its_field_is_refused(self, monkeypatch, tmp_path, capsys):
+        """With one bit of headroom, x^70000 fits its 18-bit field and the
+        x^140000 of V_2 reaches the guard bit."""
+        monkeypatch.setattr(rdtm.packed, "HEADROOM_BITS", 1)
+        spec = parse_spec_file(LARGE_EXPONENT_PDE)
+        with pytest.raises(UnsupportedExpressionError, match="an exponent of x reached 131072"):
+            solve_series(spec, 6)
+        path = tmp_path / "large.pde"
+        path.write_text(LARGE_EXPONENT_PDE)
+        assert main(["solve", str(path), "--order", "6"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: an exponent of x reached 131072")
