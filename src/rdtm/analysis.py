@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Context as DecimalContext
 from fractions import Fraction
-
-import mpmath
 
 from . import expr as ex
 from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError, UnboundVariableError
 from .packed import Packing
 from .parsing import MAX_GRID_POINTS, TIME_VAR
-from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
+from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf, mpmath
+from .record import Record
 
 __all__ = [
     "GridAxis",
@@ -112,32 +110,27 @@ def _as_fractions(values) -> tuple:
         raise GridError(f"grid value {err}") from None
 
 
-@dataclass(frozen=True)
-class GridAxis:
-    name: str
-    values: tuple
+class GridAxis(Record):
+    __slots__ = ("name", "values")
 
-    def __post_init__(self):
-        values = _as_fractions(self.values)
+    def __init__(self, name: str, values):
+        values = _as_fractions(values)
         if not values:
-            raise GridError(f"axis {self.name!r} is empty")
+            raise GridError(f"axis {name!r} is empty")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise GridError(f"axis {self.name!r} values must be strictly increasing")
-        object.__setattr__(self, "values", values)
+            raise GridError(f"axis {name!r} values must be strictly increasing")
+        self._assign(name=name, values=values)
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(Record):
     """Rows sweep the row axis (time, in the reference tables); every spatial
     variable in ``tie`` is bound to the column value, so one column axis can
     drive several variables (x = y = column value)."""
 
-    row: GridAxis
-    col: GridAxis
-    tie: tuple = ()
+    __slots__ = ("row", "col", "tie")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tie", tuple(self.tie))
+    def __init__(self, row: GridAxis, col: GridAxis, tie=()):
+        self._assign(row=row, col=col, tie=tuple(tie))
 
     @property
     def col_vars(self) -> tuple:
@@ -154,21 +147,22 @@ class Grid2D:
         return bindings
 
 
-@dataclass(frozen=True)
-class ErrorTable:
-    grid: Grid2D
-    values: tuple  # rows of mpf, matching the grid
-    truncation_order: int
-    precision: int
+class ErrorTable(Record):
+    __slots__ = ("grid", "values", "truncation_order", "precision")
+
+    def __init__(self, grid: Grid2D, values: tuple, truncation_order: int, precision: int):
+        # values: rows of mpf, matching the grid
+        self._assign(grid=grid, values=values, truncation_order=truncation_order, precision=precision)
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(Record):
     """Columnar sweep data: sweep coordinates, series value, exact value,
     absolute error; ready for external plotting."""
 
-    columns: tuple
-    rows: tuple
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple, rows: tuple):
+        self._assign(columns=columns, rows=rows)
 
     def to_csv(self, sig_digits: int = 6) -> str:
         lines = [_csv_line(self.columns)]

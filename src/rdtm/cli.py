@@ -16,7 +16,6 @@ deterministic: identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ from .models import (
     builtin_model,
 )
 from .parsing import parse_assignments
-from .precision import MIN_DECIMAL_DIGITS, PrecisionContext
+from .precision import MAX_DECIMAL_DIGITS, MIN_DECIMAL_DIGITS, PrecisionContext
 from .specfile import parse_spec_file
 
 DEFAULT_SOLVE_ORDER = 10
@@ -105,6 +104,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _emit_json(payload, out_path):
+    import json  # only --format json needs it
+
+    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -130,7 +135,7 @@ def _cmd_solve(args) -> int:
             "spectra": [ex.to_text(v) for v in sol.spectra],
             "series": ex.to_text(series),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
         return 0
     render = ex.to_latex if args.format == "latex" else ex.to_text
     lines = [f"V_{k} = {render(v)}" for k, v in enumerate(sol.spectra)]
@@ -158,7 +163,7 @@ def _cmd_table(args) -> int:
             "tie": list(grid.col_vars),
             "values": [[format_scientific(v, args.sig_digits) for v in row] for row in table.values],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
         return 0
     style = "plain" if args.format == "text" else args.format
     _emit(render_table(table, style, args.sig_digits), args.out)
@@ -203,7 +208,7 @@ def _cmd_figure(args) -> int:
                 for row in data.rows
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
         return 0
     _emit(data.to_csv(args.sig_digits), args.out)
     return 0
@@ -215,8 +220,11 @@ def _check_report(sol):
     spec, order = sol.spec, sol.order
     lines = []
     ok = True
-    vanish = residual_order_check(spec, sol)
-    if vanish >= order - 2:
+    # order N needs the residual to vanish through t^(N-3): nothing at N = 2
+    vanish = residual_order_check(spec, sol) if order >= 3 else None
+    if vanish is None:
+        lines.append(f"residual check is vacuous at order {order}: no coefficient must vanish")
+    elif vanish >= order - 2:
         lines.append(f"residual vanishes through t^{vanish - 1} (order {order} needs t^{order - 3})")
     else:
         ok = False
@@ -338,6 +346,8 @@ def _check_options(args):
         raise InvalidOptionError(f"--sig-digits must be between 1 and {MAX_SIG_DIGITS}, got {args.sig_digits}")
     if "precision" in given and args.precision < MIN_DECIMAL_DIGITS:
         raise InvalidOptionError(f"--precision must be at least {MIN_DECIMAL_DIGITS} digits, got {args.precision}")
+    if "precision" in given and args.precision > MAX_DECIMAL_DIGITS:
+        raise InvalidOptionError(f"--precision must be at most {MAX_DECIMAL_DIGITS} digits, got {args.precision}")
 
 
 def main(argv=None) -> int:

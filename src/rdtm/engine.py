@@ -30,7 +30,6 @@ tests compare the packed recurrence against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .packed import Packing
 from .parsing import MAX_ORDER, RESERVED_NAMES, TIME_VAR
+from .record import Record
 
 __all__ = [
     "SOURCE",
@@ -61,32 +61,28 @@ __all__ = [
 SOURCE = None
 
 
-@dataclass(frozen=True)
-class PdeSpec:
+class PdeSpec(Record):
     """A wave-like problem: u_tt = rhs with u(X,0) = init_u, u_t(X,0) = init_ut."""
 
-    name: str
-    spatial_vars: tuple
-    rhs: ex.Expr
-    init_u: ex.Expr
-    init_ut: ex.Expr
-    exact: ex.Expr | None = None
+    __slots__ = ("name", "spatial_vars", "rhs", "init_u", "init_ut", "exact")
 
-    def __post_init__(self):
-        spatial = tuple(self.spatial_vars)
+    def __init__(self, name: str, spatial_vars, rhs, init_u, init_ut, exact=None):
+        spatial = tuple(spatial_vars)
         if not spatial:
             raise UnsupportedStructureError("at least one spatial variable is required")
         if len(set(spatial)) != len(spatial):
             raise UnsupportedStructureError("duplicate spatial variable")
-        for name in spatial:
-            if name in RESERVED_NAMES:
-                raise UnsupportedStructureError(f"variable name {name!r} is reserved")
-        object.__setattr__(self, "spatial_vars", spatial)
-        object.__setattr__(self, "rhs", ex.simplify(self.rhs))
-        object.__setattr__(self, "init_u", ex.simplify(self.init_u))
-        object.__setattr__(self, "init_ut", ex.simplify(self.init_ut))
-        if self.exact is not None:
-            object.__setattr__(self, "exact", ex.simplify(self.exact))
+        for var in spatial:
+            if var in RESERVED_NAMES:
+                raise UnsupportedStructureError(f"variable name {var!r} is reserved")
+        self._assign(
+            name=name,
+            spatial_vars=spatial,
+            rhs=ex.simplify(rhs),
+            init_u=ex.simplify(init_u),
+            init_ut=ex.simplify(init_ut),
+            exact=None if exact is None else ex.simplify(exact),
+        )
 
         allowed = set(spatial) | {TIME_VAR}
         for label, e in (("init", self.init_u), ("init_t", self.init_ut)):
@@ -107,8 +103,7 @@ class PdeSpec:
             raise UnsupportedStructureError("exact solution must not involve u")
 
 
-@dataclass(frozen=True)
-class RecurrenceTerm:
+class RecurrenceTerm(Record):
     """coefficient * t^time_shift * product of derivative factors.
 
     Evaluating at index k means: coefficient times the n-ary Cauchy
@@ -119,35 +114,31 @@ class RecurrenceTerm:
     coefficient is stored expanded, so every step uses it as is.
     """
 
-    coefficient: ex.Expr
-    time_shift: int
-    factors: tuple
+    __slots__ = ("coefficient", "time_shift", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", ex.expand(self.coefficient))
+    def __init__(self, coefficient: ex.Expr, time_shift: int, factors: tuple):
+        self._assign(coefficient=ex.expand(coefficient), time_shift=time_shift, factors=factors)
 
 
-@dataclass(frozen=True)
-class SpectralRecurrence:
-    terms: tuple
+class SpectralRecurrence(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self._assign(terms=terms)
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
+class SeriesSolution(Record):
     """The spectrum sequence V_0..V_{order-1}, canonical expanded trees as
     solve_series returns them and as every consumer uses them; the inverse
     transform is sum of spectra[k] * t**k."""
 
-    spec: PdeSpec
-    spectra: tuple
-    order: int
+    __slots__ = ("spec", "spectra", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spectra", tuple(self.spectra))
-        if len(self.spectra) != self.order:
-            raise InvalidOrderError(
-                f"expected {self.order} spectra, got {len(self.spectra)}"
-            )
+    def __init__(self, spec: PdeSpec, spectra, order: int):
+        spectra = tuple(spectra)
+        if len(spectra) != order:
+            raise InvalidOrderError(f"expected {order} spectra, got {len(spectra)}")
+        self._assign(spec=spec, spectra=spectra, order=order)
 
     def to_expr(self) -> ex.Expr:
         """Truncated series sum(V_k * t^k) as a canonical expanded expression."""

@@ -32,10 +32,10 @@ the form of the parser, the printers, the evaluator and the reference fold
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedExpressionError, UnsupportedNonlinearityError
+from .record import Record, fast_fields
 
 __all__ = [
     "Expr",
@@ -68,6 +68,8 @@ __all__ = [
 
 ATOM_KINDS = ("exp", "sin", "cos")
 
+_set = object.__setattr__
+
 
 def as_fraction(value) -> Fraction:
     """An int or a Fraction as a Fraction; a float or a str is a TypeError."""
@@ -78,7 +80,7 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"{value!r} is a {type(value).__name__}, not an exact rational")
 
 
-class Expr:
+class Expr(Record):
     """Base class; arithmetic operators return canonical (simplified) results."""
 
     __slots__ = ()
@@ -117,44 +119,42 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Rational(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
+    def __init__(self, value):
+        _set(self, "value", as_fraction(value))
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Sum(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Product(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # an Expr, an int
 
 
-@dataclass(frozen=True)
+@fast_fields
 class Atom(Expr):
-    kind: str
-    argument: Expr
+    __slots__ = ("kind", "argument")  # one of ATOM_KINDS, an Expr
 
 
-@dataclass(frozen=True)
+@fast_fields
 class DerivSym(Expr):
-    orders: tuple  # sorted ((var, order), ...); the empty tuple is u itself
+    __slots__ = ("orders",)  # sorted ((var, order), ...); the empty tuple is u itself
 
 
 ZERO = Rational(Fraction(0))

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
 from .errors import ParseError, UndeclaredIdentifierError
+from .record import Record
 
 __all__ = ["Token", "tokenize", "parse_expr", "parse_assignments", "RESERVED_NAMES", "TIME_VAR"]
 
@@ -91,12 +91,12 @@ _LEXICON = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, NUMBER, STRING, one of the punctuation chars, EOF
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind: IDENT, NUMBER, STRING, one of the punctuation chars, EOF
+        self._assign(kind=kind, text=text, line=line, col=col)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -5,17 +5,22 @@ arithmetic; rounding happens only where an exp/sin/cos atom forces it, via
 mpmath at the context's working precision plus guard digits.  Results are
 deterministic for fixed inputs and precision, so a caller that evaluates
 many points may pass one atom memo to every call and get the same bits.
+
+This is the one module that binds ``mpmath``, and it loads it lazily: the
+import runs at the first attribute access, so commands that never evaluate
+a number (``solve``, ``check``) do not pay for it.  ``analysis`` takes
+``mpmath`` from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import importlib.util
+import sys
 from fractions import Fraction
-
-import mpmath
 
 from . import expr as ex
 from .errors import UnboundVariableError, UnsupportedExpressionError
+from .record import Record
 
 __all__ = [
     "PrecisionContext",
@@ -25,29 +30,61 @@ __all__ = [
     "fraction_to_mpf",
     "GUARD_DIGITS",
     "MIN_DECIMAL_DIGITS",
+    "MAX_DECIMAL_DIGITS",
 ]
 
 GUARD_DIGITS = 10
 MIN_DECIMAL_DIGITS = 15
+# Evaluation time grows faster than the digit count: ex1's reference table
+# takes 0.19 s of CPU at 1000 digits, 0.79 s at 5000 and 2.8 s at 10000, and
+# ex3's order-4 table 7.6 s at 50000 (Python 3.11, pure-Python mpmath).
+MAX_DECIMAL_DIGITS = 10000
 
-_ATOM_FUNCTIONS = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos}
+
+def _lazy_module(name):
+    """The module ``name``, imported at its first attribute access; the
+    module itself when it is already imported."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+mpmath = _lazy_module("mpmath")
+
+# The functions are looked up at call time, so that building this table
+# does not load mpmath.
+_ATOM_FUNCTIONS = {
+    "exp": lambda x: mpmath.exp(x),
+    "sin": lambda x: mpmath.sin(x),
+    "cos": lambda x: mpmath.cos(x),
+}
+
+
+class PrecisionContext(Record):
     """Working precision for transcendental evaluation, in decimal digits.
 
     Re-evaluating with ten more digits moves any result by less than
     10**-(decimal_digits - 2) relatively, which doubles as a self-test.
     """
 
-    decimal_digits: int = 50
+    __slots__ = ("decimal_digits",)
 
-    def __post_init__(self):
-        if not isinstance(self.decimal_digits, int) or self.decimal_digits < MIN_DECIMAL_DIGITS:
+    def __init__(self, decimal_digits: int = 50):
+        if (
+            not isinstance(decimal_digits, int)
+            or not MIN_DECIMAL_DIGITS <= decimal_digits <= MAX_DECIMAL_DIGITS
+        ):
             raise ValueError(
-                f"working precision must be an integer >= {MIN_DECIMAL_DIGITS} decimal digits"
+                f"working precision must be an integer from {MIN_DECIMAL_DIGITS} "
+                f"to {MAX_DECIMAL_DIGITS} decimal digits"
             )
+        self._assign(decimal_digits=decimal_digits)
 
     @property
     def working_dps(self) -> int:

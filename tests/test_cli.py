@@ -14,7 +14,7 @@ from rdtm.cli import main
 from rdtm.analysis import evaluate_series
 from rdtm.models import ModelId
 from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, MAX_ORDER, parse_expr
-from rdtm.precision import PrecisionContext, eval_precise
+from rdtm.precision import MAX_DECIMAL_DIGITS, PrecisionContext, eval_precise
 
 EX3_TEXT = """
 pde "ex3" {
@@ -228,6 +228,23 @@ def test_precision_below_floor_is_a_clean_error(capsys):
     assert err.startswith("error:") and "--precision" in err
 
 
+@pytest.mark.parametrize("command", ["table", "figure", "demo"])
+def test_precision_above_ceiling_is_refused_before_any_work(capsys, monkeypatch, command):
+    """200000 digits ran for more than 20 s before the ceiling existed."""
+    monkeypatch.setattr(rdtm.cli, "solve_series", None)
+    argv = [command] + (["ex3"] if command != "demo" else [])
+    code, out, err = run(capsys, *argv, "--precision", str(MAX_DECIMAL_DIGITS + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: --precision must be at most {MAX_DECIMAL_DIGITS} digits, got {MAX_DECIMAL_DIGITS + 1}\n"
+
+
+def test_precision_at_ceiling_is_accepted(capsys):
+    code, out, err = run(capsys, "table", "ex3", "--order", "4", "--grid", "t=1/2:1:1/2;x=1:1:1",
+                         "--precision", str(MAX_DECIMAL_DIGITS))
+    assert code == 0, err
+    assert out.splitlines()[0].split() == ["t/x", "1"]
+
+
 def test_reserved_variable_in_problem_file_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "reserved.pde"
     path.write_text('pde "r" {\n  vars: x, t;\n  equation: D(u,t,2) = u;\n  init: 1;  init_t: 0;\n}\n')
@@ -264,6 +281,17 @@ def test_check_reports_a_residual_vanishing_past_the_order(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), "--order", "4")
     assert code == 0, err
     assert out.splitlines()[0] == "residual vanishes through t^4 (order 4 needs t^1)"
+
+
+def test_check_at_order_2_says_the_residual_check_is_vacuous(capsys):
+    """Order N needs the residual to vanish through t^(N-3); at N = 2 that
+    is no coefficient, so there is nothing to report but that."""
+    code, out, err = run(capsys, "check", "ex1", "--order", "2")
+    assert code == 0, err
+    assert out.splitlines() == [
+        "residual check is vacuous at order 2: no coefficient must vanish",
+        "spectra match the exact solution's Taylor coefficients for k<2",
+    ]
 
 
 def test_model_id_is_case_insensitive(capsys):

@@ -8,7 +8,14 @@ import pytest
 from rdtm.errors import UnboundVariableError, UnsupportedExpressionError
 from rdtm.expr import Atom, DerivSym, Product, Var, ZERO, rational, simplify
 from rdtm.parsing import parse_expr
-from rdtm.precision import PrecisionContext, eval_number, eval_precise
+from rdtm.precision import (
+    GUARD_DIGITS,
+    MAX_DECIMAL_DIGITS,
+    MIN_DECIMAL_DIGITS,
+    PrecisionContext,
+    eval_number,
+    eval_precise,
+)
 
 from oracles import cos_oracle, exp_oracle, sin_oracle
 
@@ -85,6 +92,10 @@ def test_numeral_strings_rejected(value):
 def test_precision_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(10)
+    with pytest.raises(ValueError):
+        PrecisionContext(MAX_DECIMAL_DIGITS + 1)
+    assert PrecisionContext(MIN_DECIMAL_DIGITS).working_dps == MIN_DECIMAL_DIGITS + GUARD_DIGITS
+    assert PrecisionContext(MAX_DECIMAL_DIGITS).decimal_digits == MAX_DECIMAL_DIGITS
 
 
 def test_self_consistency_more_digits():
