@@ -8,17 +8,16 @@ them in any order gives the same table.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Context as DecimalContext
 from fractions import Fraction
 
 from . import expr as ex
 from .engine import SeriesSolution
-from .errors import GridError, PrecisionInsufficientError, UnboundVariableError
+from .errors import GridError, PrecisionInsufficientError
 from .packed import Packing
 from .parsing import MAX_GRID_POINTS, TIME_VAR
-from .precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf, mpmath
+from .precision import PrecisionContext, mpmath
 from .record import Record
 
 __all__ = [
@@ -172,84 +171,15 @@ class FigureData(Record):
         return "\n".join(lines) + "\n"
 
 
-class _SeriesEvaluator:
-    """Truncated series sum(V_k(point) * t^k) of one solution at many points.
-
-    V_k depends only on the spatial point, so its values can be computed
-    once per distinct spatial binding (the point minus t), and the powers of
-    each distinct t once, as exact Fractions together with their mpf
-    conversions.  Atom values are memoized per (kind, argument, precision)
-    in ``atoms``, which the caller shares with its evaluations of the exact
-    solution.  A cell then sums the rounded terms in increasing k, as a lone
-    evaluation does, and the exact terms in any order, since their sum is
-    exact; so every result is bit-identical to evaluating its point alone.
-
-    ``axes`` gives (variables, length) for each axis of the cartesian grid
-    the caller walks.  Spectrum values are kept only when an axis of t alone
-    repeats every spatial point, and t-powers only when an axis without t
-    repeats every t; a memo whose key never recurs would only hold memory.
-    The memos live as long as the evaluator: one grid, one figure or one
-    ``evaluate_series`` call.
-    """
-
-    def __init__(self, sol: SeriesSolution, ctx: PrecisionContext, axes=()):
-        self.spectra = sol.spectra
-        self.ctx = ctx
-        self.atoms = {}
-        self._terms = {}
-        self._powers = {}
-        varying = [set(names) for names, length in axes if length > 1]
-        self._keep_terms = {TIME_VAR} in varying
-        self._keep_powers = any(TIME_VAR not in names for names in varying)
-
-    def series(self, point):
-        bindings = dict(point)
-        if TIME_VAR not in bindings:
-            raise UnboundVariableError("the evaluation point must bind t")
-        t = ex.as_fraction(bindings.pop(TIME_VAR))
-        with mpmath.workdps(self.ctx.working_dps):
-            exact_terms, rounded_terms = self._terms_at(bindings)
-            powers, powers_mpf = self._t_powers(t)
-            exact_part = sum((value * powers[k] for k, value in exact_terms), Fraction(0))
-            rounded_part = mpmath.mpf(0)
-            for k, value in rounded_terms:
-                rounded_part += value * powers_mpf[k]
-            return +(rounded_part + fraction_to_mpf(exact_part))
-
-    def _terms_at(self, bindings):
-        """([(k, V_k) exact and nonzero], [(k, V_k) rounded]) at a spatial point."""
-        key = tuple(sorted(bindings.items()))
-        terms = self._terms.get(key)
-        if terms is None:
-            exact_terms, rounded_terms = [], []
-            for k, v in enumerate(self.spectra):
-                value = eval_number(v, bindings, self.atoms)
-                if not isinstance(value, Fraction):
-                    rounded_terms.append((k, value))
-                elif value:
-                    exact_terms.append((k, value))
-            terms = (exact_terms, rounded_terms)
-            if self._keep_terms:
-                self._terms[key] = terms
-        return terms
-
-    def _t_powers(self, t):
-        """([t^k], [t^k as mpf]) for k below the order."""
-        powers = self._powers.get(t)
-        if powers is None:
-            exact_powers = [Fraction(1)]
-            for _ in self.spectra[1:]:
-                exact_powers.append(exact_powers[-1] * t)
-            powers = (exact_powers, [fraction_to_mpf(p) for p in exact_powers])
-            if self._keep_powers:
-                self._powers[t] = powers
-        return powers
-
-
 def evaluate_series(sol: SeriesSolution, point, ctx: PrecisionContext = PrecisionContext()):
     """Truncated series value sum(V_k(point) * t^k) with exact rational
     t-powers, accumulated in high precision."""
-    return _SeriesEvaluator(sol, ctx).series(point)
+    # The cell kernel loads at the first evaluation; solve and check never need it.
+    from . import separable
+
+    evaluator = separable.SeriesEvaluator(sol, (), point)
+    with mpmath.workdps(ctx.working_dps):
+        return evaluator.at(())
 
 
 def absolute_error_grid(
@@ -268,10 +198,12 @@ def absolute_error_grid(
         )
     check_grid_size((len(grid.row.values), len(grid.col.values)))
     check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
+    from . import separable
+
     floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
     axes = [((grid.row.name,), grid.row.values), (grid.col_vars, grid.col.values)]
     errors = []
-    for (tv, cv), series_value, exact_value in _cells(sol, exact, axes, {}, ctx):
+    for (tv, cv), series_value, exact_value in separable.cells(sol, exact, axes, {}, ctx):
         err = abs(series_value - exact_value)
         if 0 < err < floor:
             raise PrecisionInsufficientError(
@@ -283,22 +215,6 @@ def absolute_error_grid(
     width = len(grid.col.values)
     rows = tuple(tuple(errors[i:i + width]) for i in range(0, len(errors), width))
     return ErrorTable(grid, rows, sol.order, ctx.decimal_digits)
-
-
-def _cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContext):
-    """(coordinates, series value, exact value) at every cell of the
-    cartesian product of ``axes``, row-major.  ``axes`` is a sequence of
-    (variables, values): a coordinate binds every variable of its axis, and
-    ``fixed`` binds the others.  One simplified ``exact`` and one
-    _SeriesEvaluator serve every cell."""
-    exact = ex.simplify(exact)
-    evaluator = _SeriesEvaluator(sol, ctx, [(names, len(values)) for names, values in axes])
-    for coords in itertools.product(*(values for _, values in axes)):
-        point = dict(fixed)
-        for (names, _), value in zip(axes, coords):
-            point.update(dict.fromkeys(names, value))
-        series_value = evaluator.series(point)
-        yield coords, series_value, eval_canonical(exact, point, ctx, evaluator.atoms)
 
 
 def residual_order_check(spec, sol: SeriesSolution) -> int:
@@ -463,9 +379,11 @@ def export_figure_data(
         if not isinstance(name, str):
             raise GridError(f"a figure sweep varies one variable, not {name!r}")
     check_bindings(sol.spec.spatial_vars, sweep_names, fixed)
+    from . import separable
+
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
     rows = tuple(
         (*coords, series_value, exact_value, abs(series_value - exact_value))
-        for coords, series_value, exact_value in _cells(sol, exact, axes, fixed, ctx)
+        for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
     )
     return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)

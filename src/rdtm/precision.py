@@ -28,6 +28,8 @@ __all__ = [
     "eval_canonical",
     "eval_number",
     "fraction_to_mpf",
+    "to_mpf",
+    "is_exact",
     "GUARD_DIGITS",
     "MIN_DECIMAL_DIGITS",
     "MAX_DECIMAL_DIGITS",
@@ -96,6 +98,20 @@ def fraction_to_mpf(value: Fraction) -> mpmath.mpf:
     return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
 
 
+def to_mpf(value) -> mpmath.mpf:
+    """An ``eval_number`` result as ``eval_canonical`` returns it: a Fraction
+    converted, an mpf rounded, at the current mpmath precision."""
+    if isinstance(value, Fraction):
+        return fraction_to_mpf(value)
+    return +value
+
+
+def is_exact(e) -> bool:
+    """Whether ``eval_number`` returns an exact Fraction for e, which it does
+    exactly when e has no atom."""
+    return not any(isinstance(node, ex.Atom) for node in ex.subtrees(e))
+
+
 def eval_number(e, point, atoms=None):
     """Evaluate a canonical expression, as given, under the current mpmath
     precision; ``eval_precise`` is the door for raw trees.
@@ -162,7 +178,4 @@ def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext(), atoms=N
     caller that evaluates one expression at many points simplifies it once
     (and may share an ``atoms`` memo, as in ``eval_number``)."""
     with mpmath.workdps(ctx.working_dps):
-        value = eval_number(e, point, atoms)
-        if isinstance(value, Fraction):
-            return fraction_to_mpf(value)
-        return +value
+        return to_mpf(eval_number(e, point, atoms))

@@ -10,6 +10,7 @@ import pytest
 import rdtm.analysis
 import rdtm.expr
 import rdtm.precision
+import rdtm.separable
 from rdtm.analysis import (
     Grid2D,
     GridAxis,
@@ -28,7 +29,7 @@ from rdtm.analysis import (
 )
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
-from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, to_text
+from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, subtrees, to_text
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
 from rdtm.packed import Packing
 from rdtm.parsing import MAX_GRID_POINTS, parse_expr
@@ -140,7 +141,7 @@ class TestErrorGrid:
         spectra = {id(v) for v in sol.spectra}
         evaluations = [0]
         atom_calls = []
-        original = rdtm.analysis.eval_number
+        original = rdtm.precision.eval_number
 
         def counting(e, point, atoms=None):
             evaluations[0] += id(e) in spectra
@@ -149,7 +150,7 @@ class TestErrorGrid:
         def recording(kind, fn):
             return lambda argument: atom_calls.append((kind, argument)) or fn(argument)
 
-        monkeypatch.setattr(rdtm.analysis, "eval_number", counting)
+        monkeypatch.setattr(rdtm.precision, "eval_number", counting)
         for kind, fn in list(rdtm.precision._ATOM_FUNCTIONS.items()):
             monkeypatch.setitem(rdtm.precision._ATOM_FUNCTIONS, kind, recording(kind, fn))
         tenths = [F(i, 10) for i in range(1, 11)]
@@ -165,19 +166,62 @@ class TestErrorGrid:
             assert evaluations[0] == 10 * 8
             assert 0 < len(atom_calls) <= len(set(atom_calls))
 
+    def test_exact_solution_is_evaluated_once_per_axis_value(self, monkeypatch, solved):
+        """ex1's exact solution is exp(x*y)*(sin(t) + cos(t)).  On a 10x10
+        table and figure, exp(x*y) reads only the x (or tied x,y) axis and
+        sin(t) + cos(t) only the t axis, so each is evaluated once per axis
+        value (10 times), not once per cell (100 times)."""
+        spec, sol = solved(ModelId.EX1, 8)
+        targets = {
+            parse_expr("exp(x*y)", ("x", "y")): "space",
+            parse_expr("sin(t) + cos(t)", ("x", "y")): "time",
+        }
+        subtree_ids = {}
+        counts = {}
+        simplify_original = rdtm.expr.simplify
+        eval_original = rdtm.precision._eval
+
+        def capturing(e):
+            result = simplify_original(e)
+            if e == spec.exact:
+                subtree_ids.update((id(node), targets[node]) for node in subtrees(result) if node in targets)
+            return result
+
+        def counting(e, point, atoms):
+            label = subtree_ids.get(id(e))
+            if label is not None:
+                counts[label] = counts.get(label, 0) + 1
+            return eval_original(e, point, atoms)
+
+        monkeypatch.setattr(rdtm.expr, "simplify", capturing)
+        monkeypatch.setattr(rdtm.precision, "_eval", counting)
+        tenths = [F(i, 10) for i in range(1, 11)]
+        grid = Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y"))
+        sweeps = [("x", F(1, 10), 1, F(1, 10)), ("t", F(1, 10), 1, F(1, 10))]
+        for run in (
+            lambda: absolute_error_grid(sol, spec.exact, grid, CTX),
+            lambda: export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX),
+        ):
+            subtree_ids.clear()
+            counts.clear()
+            run()
+            assert set(subtree_ids.values()) == {"space", "time"}
+            assert not {id(node) for v in sol.spectra for node in subtrees(v)} & set(subtree_ids)
+            assert counts == {"space": 10, "time": 10}
+
     def test_values_are_kept_only_where_they_recur(self, monkeypatch, solved):
         """With t fixed no spatial point comes back, and with only t swept no
         t comes back, so those values are not kept: such a memo would grow
         with the sweep and serve nothing."""
         spec, sol = solved(ModelId.EX1, 8)
         evaluators = []
-        original = rdtm.analysis._SeriesEvaluator
+        original = rdtm.separable.SeriesEvaluator
 
         def recording(*args):
             evaluators.append(original(*args))
             return evaluators[-1]
 
-        monkeypatch.setattr(rdtm.analysis, "_SeriesEvaluator", recording)
+        monkeypatch.setattr(rdtm.separable, "SeriesEvaluator", recording)
         tenths = (F(1, 10), 1, F(1, 10))
         cases = [
             ({"t": F(1, 2)}, [("x", *tenths), ("y", *tenths)], (0, 1)),
@@ -235,7 +279,7 @@ class TestErrorGrid:
     ])
     def test_grid_bindings_are_checked_as_figure_sweeps_are(self, monkeypatch, solved, col, tie, message):
         spec, sol = solved(ModelId.EX3, 6)
-        monkeypatch.setattr(rdtm.analysis, "eval_number", None)  # no cell is evaluated
+        monkeypatch.setattr(rdtm.precision, "eval_number", None)  # no cell is evaluated
         grid = Grid2D(GridAxis("t", (F(1, 5),)), GridAxis(col, (F(1, 5), F(2, 5))), tie)
         with pytest.raises(GridError, match=message):
             absolute_error_grid(sol, spec.exact, grid, CTX)
@@ -375,6 +419,54 @@ class TestSeparableEvaluation:
         assert any(a[2] != b[2] for a, b in zip(*(f.rows for f in figures)))
 
 
+    @pytest.mark.parametrize("exact", [
+        "exp(t + x)",  # ex2's closed form: an atom that reads both axes
+        "exp(x*t)",
+        "(x + t)^2",
+        "x^2*t^3*sin(t)",  # exact factors from both axes beside a rounded one
+        "x^2 + sin(t) + x*t + t*exp(x)*cos(t)",
+        "exp(x)*sin(t)*cos(x)*cos(t) + sin(x) + cos(x)*t + exp(t)",  # rounded parts folded in order
+        "3/7",
+    ])
+    def test_exact_solutions_that_read_both_axes(self, exact):
+        """Subtrees that read one axis are evaluated once per axis value,
+        and the others in every cell; either way every cell equals its
+        point evaluated alone, in tables, transposed tables and figures."""
+        spec = parse_spec_file(MIXED_PDE.replace("x^2*cos(t) + exp(x)*sin(t)", exact))
+        assert spec.exact == parse_expr(exact, ("x",))
+        sol = solve_series(spec, 8)
+        ts, xs = rational_range(F(1, 10), 1, F(1, 5)), rational_range(-1, 1, F(1, 4))
+        assert_table_is_bit_identical(sol, spec.exact, Grid2D(GridAxis("t", ts), GridAxis("x", xs)), CTX)
+        assert_table_is_bit_identical(sol, spec.exact, Grid2D(GridAxis("x", xs), GridAxis("t", ts)), CTX)
+        assert_figure_is_bit_identical(sol, spec.exact, {}, [("x", -1, 1, F(1, 3)), ("t", 0, 1, F(1, 4))], CTX)
+
+    def test_exact_part_with_wide_numerators(self, solved):
+        """ex3 at order 20 and 50 digits, with t = p/470: the series' exact
+        part has numerators and denominators wider than the working
+        precision, so it must be normalized before it is converted."""
+        spec, sol = solved(ModelId.EX3, 20)
+        sweeps = [("t", F(9, 470), 1, F(37, 470)), ("x", F(4, 235), 1, F(43, 235))]
+        assert_figure_is_bit_identical(sol, spec.exact, {}, sweeps, CTX)
+
+    def test_ex2_closed_form(self, solved):
+        spec, sol = solved(ModelId.EX2, 12)
+        assert to_text(spec.exact) == "exp(t + x)"
+        sweeps = [("t", -1, 1, F(1, 4)), ("x", -1, 1, F(1, 3))]
+        assert_figure_is_bit_identical(sol, spec.exact, {}, sweeps, CTX)
+
+    def test_figure_with_t_fixed(self, solved):
+        spec, sol = solved(ModelId.EX1, 8)
+        sweeps = [("x", 0, 1, F(1, 5)), ("y", 0, 1, F(1, 4))]
+        assert_figure_is_bit_identical(sol, spec.exact, {"t": F(1, 2)}, sweeps, CTX)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_one_column_grid(self, model, solved):
+        spec, sol = solved(model, 8)
+        tie = ("x", "y") if model is ModelId.EX1 else ()
+        grid = Grid2D(GridAxis("t", rational_range(F(1, 10), 1, F(1, 10))), GridAxis("x", (F(1, 2),)), tie)
+        assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
+
+
 class TestGridSize:
     def test_range_length_matches_enumeration(self):
         rng = random.Random(3)
@@ -423,7 +515,7 @@ class TestGridSize:
         def refuse(*args):
             raise AssertionError("a cell of the rejected grid was evaluated")
 
-        monkeypatch.setattr(rdtm.analysis, "eval_number", refuse)
+        monkeypatch.setattr(rdtm.precision, "eval_number", refuse)
         rows = rational_range(1, 11, 1)
         cols = rational_range(1, (MAX_GRID_POINTS + 1) // 11, 1)
         with pytest.raises(GridError, match=f"{MAX_GRID_POINTS + 1} points"):
