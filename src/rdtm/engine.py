@@ -15,11 +15,14 @@ newest coefficient of every product.  A solve therefore keeps one
 RecurrenceState whose memos (derivative images, and the product sequences of
 shared sorted factor prefixes) each step extends by one entry, so K spectra
 cost O(K^2) convolutions per factor rather than O(K^3).  The memos hold
-packed sparse polynomials (rdtm.packed), in which a derivative image is
-exponent shifts plus the chain rules of exp, sin and cos, and a product of
-monomials is one integer addition; expression trees appear only where the
-initial spectra and the coefficients are packed and where each new spectrum
-is converted to its canonical expanded tree, once.
+packed sparse polynomials (rdtm.packed): integer numerators over one
+denominator, in which a derivative image is exponent shifts plus the chain
+rules of exp, sin and cos, a product of monomials is one integer addition,
+and dividing by (k+1)(k+2) scales the denominator.  Expression trees and
+Fractions appear only where the initial spectra and the coefficients are
+packed and where each new spectrum is converted to its canonical expanded
+tree, once; ``SeriesSolution.to_expr`` sorts the terms of those trees into
+the series without multiplying or merging anything.
 
 Everything is exact: spectra have rational coefficients, and both forms are
 canonical, so two runs produce structurally identical output and the order
@@ -38,7 +41,7 @@ from .errors import (
     UnsupportedCoefficientError,
     UnsupportedStructureError,
 )
-from .packed import Packing
+from .packed import Packing, Poly
 from .parsing import MAX_ORDER, RESERVED_NAMES, TIME_VAR
 from .record import Record
 
@@ -128,9 +131,9 @@ class SpectralRecurrence(Record):
 
 
 class SeriesSolution(Record):
-    """The spectrum sequence V_0..V_{order-1}, canonical expanded trees as
-    solve_series returns them and as every consumer uses them; the inverse
-    transform is sum of spectra[k] * t**k."""
+    """The spectrum sequence V_0..V_{order-1}, t-free canonical expanded
+    trees as solve_series returns them and as every consumer uses them; the
+    inverse transform is sum of spectra[k] * t**k."""
 
     __slots__ = ("spec", "spectra", "order")
 
@@ -141,11 +144,17 @@ class SeriesSolution(Record):
         self._assign(spec=spec, spectra=spectra, order=order)
 
     def to_expr(self) -> ex.Expr:
-        """Truncated series sum(V_k * t^k) as a canonical expanded expression."""
+        """Truncated series sum(V_k * t^k) as a canonical expanded expression.
+
+        The spectra are t-free, so the terms of V_k * t^k are those of V_k
+        with t^k inserted, and terms of different k are distinct: the series
+        is one sort of all of them, with nothing multiplied out or merged."""
         t = ex.Var(TIME_VAR)
-        return ex.add_expanded(
-            ex.mul_expanded(v, ex.simplify(ex.Power(t, k))) for k, v in enumerate(self.spectra)
-        )
+        terms = ex.addends(self.spectra[0])
+        for k, v in enumerate(self.spectra[1:], 1):
+            power = t if k == 1 else ex.Power(t, k)
+            terms.extend(ex.times_new_factor(term, power) for term in ex.addends(v))
+        return ex.distinct_sum(terms)
 
 
 def _monomials(e):
@@ -265,9 +274,9 @@ class RecurrenceState:
     step extends every sequence by one entry.
 
     Images, products, term coefficients and ``packed`` (the spectra) are
-    packed polynomials of one ``Packing``, fixed from the initial spectra
-    and the coefficients; ``spectra`` holds the same spectra as canonical
-    expanded trees, each new one converted once.
+    primitive ``Poly`` values of one ``Packing``, fixed from the initial
+    spectra and the coefficients; ``spectra`` holds the same spectra as
+    canonical expanded trees, each new one converted once.
     """
 
     def __init__(self, rec: SpectralRecurrence, spectra):
@@ -293,32 +302,34 @@ class RecurrenceState:
             head = self._products(factors[:-1], upto)
             last = self._images(factors[-1], upto)
             for j in range(len(seq), upto + 1):
-                entry = {}
+                entry = Poly()
                 for r in range(j + 1):
                     self.packing.mul_into(entry, head[r], last[j - r])
                 seq.append(self.packing.settled(entry))
         return seq
 
-    def contribution(self, term: RecurrenceTerm, k: int) -> dict:
+    def contribution(self, term: RecurrenceTerm, k: int) -> Poly:
         """Value of one recurrence term at index k, packed."""
         j = k - term.time_shift
         if j < 0:
-            return {}
+            return Poly()
         if term.factors == (SOURCE,):
-            return self.coefficients[term] if j == 0 else {}
+            return self.coefficients[term] if j == 0 else Poly()
         return self.packing.mul(self.coefficients[term], self._products(term.factors, j)[j])
 
     def step(self) -> ex.Expr:
         """Append and return V_{k+2}, where the spectra run through index k+1.
 
         (k+1)(k+2) V_{k+2} equals the sum of the compiled terms at index k;
-        the sum is merged so that cancellations happen at every step.
+        the sum is merged so that cancellations happen at every step, and the
+        division scales its denominator.
         """
         k = len(self.spectra) - 2
-        total = {}
+        total = Poly()
         for term in self.rec.terms:
             self.packing.add_into(total, self.contribution(term, k))
-        spectrum = self.packing.mul(total, {0: {0: Fraction(1, (k + 1) * (k + 2))}})
+        total.den *= (k + 1) * (k + 2)
+        spectrum = self.packing.settled(total)
         self.packed.append(spectrum)
         self.spectra.append(self.packing.to_expr(spectrum))
         return self.spectra[-1]

@@ -19,18 +19,25 @@ tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
 tree comes in: the parser, ``PdeSpec``, ``RecurrenceTerm`` and the public
 entry points (``simplify``, ``expand``, ``differentiate``, ``substitute``,
 ``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
-``add_expanded``, ``monomial``, ``precision.eval_number`` and
-``precision.eval_canonical`` require canonical input.
+``add_expanded``, ``distinct_sum``, ``times_new_factor``, ``monomial``,
+``precision.eval_number`` and ``precision.eval_canonical`` require canonical
+input.
 
 The recurrence and the residual check do not multiply trees: they work on
-packed sparse polynomials (``rdtm.packed``), which read canonical trees and
-build their results back with ``monomial`` and ``add_expanded``.  Trees are
-the form of the parser, the printers, the evaluator and the reference fold
+packed sparse polynomials (``rdtm.packed``, integer numerators over one
+denominator), which read canonical trees and build their results back with
+``monomial`` and ``distinct_sum``.  Where the terms of a sum are already
+canonical and their monomials pairwise distinct, as in a packed polynomial
+or in the series ``engine.SeriesSolution.to_expr`` forms with
+``times_new_factor``, ``distinct_sum`` sorts them once and merges nothing;
+``add_expanded`` is for sums that may merge.  Trees are the form of the
+parser, the printers, the evaluator and the reference fold
 ``engine.cauchy_product``.
 """
 
 from __future__ import annotations
 
+import bisect
 import sys
 from fractions import Fraction
 
@@ -54,6 +61,8 @@ __all__ = [
     "expand",
     "mul_expanded",
     "add_expanded",
+    "distinct_sum",
+    "times_new_factor",
     "differentiate",
     "substitute",
     "addends",
@@ -435,6 +444,30 @@ def monomial(coeff, powers) -> Expr:
 def add_expanded(parts) -> Expr:
     """Sum of canonical expanded expressions, expanded and merged."""
     return _canon_sum(list(parts))
+
+
+def distinct_sum(terms) -> Expr:
+    """Canonical sum of canonical terms (nonzero, no Sum among them) whose
+    monomials are pairwise distinct: one sort by the canonical term order and
+    no merging.  ``add_expanded`` of the same terms gives the same tree."""
+    ordered = sorted(terms, key=lambda term: _term_key(_split_term(term)[1]))
+    if not ordered:
+        return ZERO
+    return ordered[0] if len(ordered) == 1 else Sum(tuple(ordered))
+
+
+def times_new_factor(term, factor) -> Expr:
+    """Canonical term times a canonical factor (not exp, and not a Rational)
+    whose base none of the term's factors has: the factor is inserted at its
+    canonical position, and nothing is merged or sorted again.  A term that
+    has the base already is a ValueError."""
+    coeff, monomial = _split_term(term)
+    key = _factor_key(factor)
+    at = bisect.bisect(monomial, key, key=_factor_key)
+    # factors of one base would sort next to each other
+    if any(_factor_key(f)[0] == key[0] for f in monomial[max(at - 1, 0):at + 1]):
+        raise ValueError(f"{to_text(term)} already has a factor of the base of {to_text(factor)}")
+    return _build_term(coeff, (*monomial[:at], factor, *monomial[at:]))
 
 
 def _pow_expanded(base, exponent) -> Expr:

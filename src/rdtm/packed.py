@@ -4,14 +4,23 @@ residual check.
 A canonical expanded expression is a sum of monomials, each a rational
 coefficient times powers of variables and of sin/cos atoms, times at most one
 exp atom (a product merges exp factors into exp of the summed argument).  Its
-packed form is a dict ``{exp id: {packed exponent int: Fraction}}``: the int
-holds the power of every variable and of every sin/cos atom, one bit field
-each, so the product of two monomials is one integer addition (Monagan &
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007), and the exp id stands for the argument of the exp
-factor, 0 for none.  ``Expr`` trees appear only at the boundary:
-``from_expr`` packs a canonical tree and ``to_expr`` builds the canonical
-expanded tree of a packed polynomial.
+packed form is a ``Poly``: integer numerators ``{exp id: {packed exponent
+int: numerator}}`` over one positive denominator ``den``, the content and
+primitive part of Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*
+(1992), ch. 2.  The packed int holds the power of every variable and of every
+sin/cos atom, one bit field each, so the product of two monomials is one
+integer addition (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007), and the exp id
+stands for the argument of the exp factor, 0 for none.
+
+Every result is primitive: ``settled`` leaves no zero numerator and no empty
+exp group, and divides den and the numerators by their gcd, so equal
+polynomials are equal Polys.  An accumulator is brought to the lcm of its
+denominator and that of what is added into it, after which products and sums
+are of plain ints; it is made primitive once, when it is settled.  Fractions
+appear only at the boundary: ``from_expr`` packs a canonical tree, reading
+each coefficient's numerator and denominator, and ``to_expr`` builds the
+canonical expanded tree of a packed polynomial, one Fraction per term.
 
 A Packing fixes the fields for one computation, from its inputs: one per
 variable, one per sin and one per cos of every atom argument, and t in the
@@ -35,13 +44,42 @@ from . import expr as ex
 from .errors import UnsupportedExpressionError
 from .parsing import TIME_VAR
 
-__all__ = ["Packing"]
+__all__ = ["Packing", "Poly"]
 
 # Bits a field has beyond those of the largest exponent in the inputs; the
 # last of them is the guard bit.
 HEADROOM_BITS = 16
 
 _PARTNER = {"sin": ("cos", 1), "cos": ("sin", -1)}  # d sin(a) = cos(a) da, d cos(a) = -sin(a) da
+
+
+class Poly:
+    """sum(groups[i][key] * (monomial of key) * exp(argument i)) / den, with
+    int numerators and den > 0; primitive once ``Packing.settled``."""
+
+    __slots__ = ("den", "groups")
+
+    def __init__(self, den=1, groups=None):
+        self.den = den
+        self.groups = {} if groups is None else groups
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.den == other.den and self.groups == other.groups
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Poly({self.den!r}, {self.groups!r})"
+
+
+def _rescale(p, den) -> None:
+    """Bring p to the denominator den, a multiple of p.den, in place."""
+    if den != p.den:
+        factor = den // p.den
+        for group in p.groups.values():
+            for key in group:
+                group[key] *= factor
+        p.den = den
 
 
 class Packing:
@@ -90,7 +128,7 @@ class Packing:
 
         def walk(node):
             if isinstance(node, ex.Sum):
-                out, degree = {}, 0
+                out, degree = Poly(), 0
                 for term in node.terms:
                     p, d = walk(term)
                     self.add_into(out, p)
@@ -110,98 +148,120 @@ class Packing:
                 return p, d * node.exponent
             if isinstance(node, ex.DerivSym):
                 p = images(node.orders)
-                kept = {i: {k: c for k, c in group.items() if k < limit} for i, group in p.items()}
-                return self.settled(kept), max(self.t_degrees(p), default=0)
+                kept = {i: {k: c for k, c in group.items() if k < limit} for i, group in p.groups.items()}
+                return self.settled(Poly(p.den, kept)), max(self.t_degrees(p), default=0)
             if isinstance(node, ex.Rational):
-                return ({0: {0: node.value}} if node.value else {}), 0
+                value = node.value
+                return (Poly(value.denominator, {0: {0: value.numerator}}) if value else Poly()), 0
             if isinstance(node, ex.Atom) and node.kind == "exp":
-                return {self._exp_id(node.argument): {0: Fraction(1)}}, 0
+                return Poly(1, {self._exp_id(node.argument): {0: 1}}), 0
             base, n = (node.base, node.exponent) if isinstance(node, ex.Power) else (node, 1)
             key = n << self.index[base][0]
-            return ({0: {key: Fraction(1)}} if key < limit else {}), key >> t_shift
+            return (Poly(1, {0: {key: 1}}) if key < limit else Poly()), key >> t_shift
 
         return walk(e)
 
     def to_expr(self, p) -> ex.Expr:
         """The canonical expanded tree of p."""
         terms = []
-        for i, group in p.items():
+        for i, group in p.groups.items():
             exp_factor = [(ex.Atom("exp", self.exp_args[i]), 1)] if i else []
             for key, c in group.items():
                 powers = [(base, n) for base, shift, mask in self.fields if (n := (key >> shift) & mask)]
-                terms.append(ex.monomial(c, powers + exp_factor))
-        return ex.add_expanded(terms)
+                terms.append(ex.monomial(Fraction(c, p.den), powers + exp_factor))
+        return ex.distinct_sum(terms)
 
     def t_degrees(self, p) -> set:
-        return {key >> self.t_shift for group in p.values() for key in group}
+        return {key >> self.t_shift for group in p.groups.values() for key in group}
 
     # -- arithmetic ---------------------------------------------------------
 
     def add_into(self, out, p) -> None:
-        """out += p, leaving zero coefficients for ``settled`` to drop."""
-        for i, group in p.items():
-            dest = out.setdefault(i, {})
+        """out += p, leaving zero numerators for ``settled`` to drop."""
+        den = math.lcm(out.den, p.den)
+        _rescale(out, den)
+        factor = den // p.den
+        for i, group in p.groups.items():
+            dest = out.groups.setdefault(i, {})
             for key, c in group.items():
+                c *= factor
                 dest[key] = dest[key] + c if key in dest else c
 
     def mul_into(self, out, a, b, below=None) -> None:
         """out += a*b, skipping every pair of terms whose t-degrees add up to
-        ``below`` or more; zero coefficients are left for ``settled``."""
+        ``below`` or more; zero numerators are left for ``settled``."""
         limit = math.inf if below is None else below << self.t_shift
-        for i, group_a in a.items():
-            for j, group_b in b.items():
-                dest = out.setdefault(self._exp_sum(i, j), {})
+        den = math.lcm(out.den, a.den * b.den)
+        _rescale(out, den)
+        factor = den // (a.den * b.den)
+        for i, group_a in a.groups.items():
+            for j, group_b in b.groups.items():
+                dest = out.groups.setdefault(self._exp_sum(i, j), {})
                 for ka, ca in group_a.items():
+                    ca *= factor
                     for kb, cb in group_b.items():
                         key = ka + kb
                         if key < limit:
                             dest[key] = dest[key] + ca * cb if key in dest else ca * cb
 
-    def mul(self, a, b, below=None) -> dict:
-        out = {}
+    def mul(self, a, b, below=None) -> Poly:
+        out = Poly()
         self.mul_into(out, a, b, below)
         return self.settled(out)
 
-    def diff(self, p, orders) -> dict:
+    def diff(self, p, orders) -> Poly:
         """p differentiated by an order map ((var, order), ...)."""
         for var, order in orders:
             for _ in range(order):
                 p = self._diff1(p, var)
         return p
 
-    def _diff1(self, p, var) -> dict:
+    def _diff1(self, p, var) -> Poly:
+        """p differentiated by var, over den * scale: scale is the lcm of the
+        denominators of the argument derivatives that can occur."""
         chain = self._chain(var)
-        out = {}
-        for i, group in p.items():
-            dest = out[i] = self._power_rule(group, var)
-            dexp = self._argument_derivative(self.exp_args[i], var) if i else {}
+        dexps = {i: self._argument_derivative(self.exp_args[i], var) for i in p.groups if i}
+        scale = math.lcm(*(den for *_, den, _ in chain), *(den for den, _ in dexps.values()))
+        chain = [
+            (shift, mask, step, [(k, d * sign * (scale // den)) for k, d in darg.items()])
+            for shift, mask, step, sign, den, darg in chain
+        ]
+        groups = {}
+        for i, group in p.groups.items():
+            dest = groups[i] = self._power_rule(group, var, scale)
+            den, darg = dexps.get(i, (1, {}))
+            dexp = [(k, d * (scale // den)) for k, d in darg.items()]
             for key, c in group.items():
-                terms = [(key + k, c * d) for k, d in dexp.items()]
-                for shift, mask, step, sign, darg in chain:
+                terms = [(key + k, c * d) for k, d in dexp]
+                for shift, mask, step, dnums in chain:
                     if n := (key >> shift) & mask:
-                        terms.extend((key + step + k, c * n * sign * d) for k, d in darg.items())
+                        terms.extend((key + step + k, c * n * d) for k, d in dnums)
                 for k, d in terms:
                     dest[k] = dest[k] + d if k in dest else d
-        return self.settled(out)
+        return self.settled(Poly(p.den * scale, groups))
 
-    def _power_rule(self, group, var) -> dict:
-        """{key: coefficient} of the derivative of group's powers of var,
-        with every atom held constant."""
+    def _power_rule(self, group, var, scale=1) -> dict:
+        """{key: numerator} of the derivative of group's powers of var, with
+        every atom held constant, times scale."""
         if ex.Var(var) not in self.index:
             return {}
         shift, mask = self.index[ex.Var(var)]
         unit = 1 << shift
-        return {key - unit: c * n for key, c in group.items() if (n := (key >> shift) & mask)}
+        return {key - unit: c * n * scale for key, c in group.items() if (n := (key >> shift) & mask)}
 
-    def settled(self, p) -> dict:
-        """p without zero coefficients or empty exp groups; an exponent that
+    def settled(self, p) -> Poly:
+        """p in primitive form: no zero numerator, no empty exp group, and
+        den and the numerators divided by their gcd.  An exponent that
         reached its field's guard bit is refused."""
-        out = {}
-        for i, group in p.items():
+        groups = {}
+        for i, group in p.groups.items():
             kept = {key: c for key, c in group.items() if c}
             if kept:
-                out[i] = kept
-        for group in out.values():
+                groups[i] = kept
+        content = math.gcd(p.den, *(c for group in groups.values() for c in group.values()))
+        if content != 1:
+            groups = {i: {key: c // content for key, c in group.items()} for i, group in groups.items()}
+        for group in groups.values():
             for key in group:
                 if key & self.guard:
                     top = 1 << (self.width - 1)
@@ -210,7 +270,7 @@ class Packing:
                         f"an exponent of {ex.to_text(base)} reached {top}, "
                         "the limit of the packed form for these inputs"
                     )
-        return out
+        return Poly(p.den // content, groups)
 
     # -- exp arguments and derivative tables --------------------------------
 
@@ -229,25 +289,26 @@ class Packing:
             self.exp_sums[pair] = self._exp_id(ex.add_expanded((self.exp_args[i], self.exp_args[j])))
         return self.exp_sums[pair]
 
-    def _argument_derivative(self, argument, var) -> dict:
-        """{key: coefficient} of the derivative of an atom argument, which
-        is a polynomial."""
+    def _argument_derivative(self, argument, var) -> tuple:
+        """(den, {key: numerator}) of the derivative of an atom argument,
+        which is a polynomial, in primitive form."""
         if (argument, var) not in self.argument_derivatives:
-            packed = self.from_expr(argument)[0].get(0, {})
-            self.argument_derivatives[argument, var] = self._power_rule(packed, var)
+            packed = self.from_expr(argument)[0]
+            d = self.settled(Poly(packed.den, {0: self._power_rule(packed.groups.get(0, {}), var)}))
+            self.argument_derivatives[argument, var] = d.den, d.groups.get(0, {})
         return self.argument_derivatives[argument, var]
 
     def _chain(self, var) -> list:
-        """(shift, mask, key step, sign, argument derivative) for every
-        sin/cos field whose argument depends on var: the derivative of
-        atom^n is sign * n * atom^(n-1) * partner * d(argument)."""
+        """(shift, mask, key step, sign, den, argument derivative numerators)
+        for every sin/cos field whose argument depends on var: the derivative
+        of atom^n is sign * n * atom^(n-1) * partner * d(argument)."""
         if var not in self.chains:
             self.chains[var] = []
             for base, shift, mask in self.fields:
                 if isinstance(base, ex.Atom):
                     kind, sign = _PARTNER[base.kind]
-                    darg = self._argument_derivative(base.argument, var)
+                    den, darg = self._argument_derivative(base.argument, var)
                     if darg:
                         step = (1 << self.index[ex.Atom(kind, base.argument)][0]) - (1 << shift)
-                        self.chains[var].append((shift, mask, step, sign, darg))
+                        self.chains[var].append((shift, mask, step, sign, den, darg))
         return self.chains[var]

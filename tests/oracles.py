@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: series oracles sum exact
 rational Taylor terms instead of calling mpmath, the convolution oracle
 walks every composition with nested loops instead of folding pairwise, the
-residual oracle expands the whole residual instead of truncating it, and the
-per-point series oracle evaluates every spectrum afresh at every point.
+residual oracle expands the whole residual instead of truncating it, the
+series oracle multiplies out and merges every V_k * t^k instead of sorting
+distinct terms once, and the per-point series oracle evaluates every
+spectrum afresh at every point.
 """
 
 from __future__ import annotations
@@ -99,6 +101,16 @@ def nested_convolution(sequences, k: int):
         return total
 
     return recurse(0, k, Fraction(1))
+
+
+def series_fold(sol):
+    """Reference for ``SeriesSolution.to_expr``: every spectrum multiplied
+    by its power of t with ``mul_expanded``, and the products merged with
+    ``add_expanded``."""
+    t = ex.Var("t")
+    return ex.add_expanded(
+        ex.mul_expanded(v, ex.simplify(ex.Power(t, k))) for k, v in enumerate(sol.spectra)
+    )
 
 
 def full_expansion_residual(spec, sol) -> dict:

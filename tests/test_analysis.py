@@ -665,8 +665,8 @@ class TestTruncatedResidual:
         def counting(self, out, a, b, below=None):
             pairs[0] += sum(
                 1
-                for group_a in a.values()
-                for group_b in b.values()
+                for group_a in a.groups.values()
+                for group_b in b.groups.values()
                 for ka in group_a
                 for kb in group_b
                 if below is None or (ka >> self.t_shift) + (kb >> self.t_shift) < below

@@ -1,5 +1,6 @@
 """Command-line front end, driven through main()."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -153,6 +154,23 @@ def test_factored_initial_data_are_expanded_spectra(tmp_path, capsys):
         "series = x + t*x + x^2 - t*x^2 - 1/2*t^2*x - 1/2*t^2*x^2"
         " - 1/6*t^3*x + 1/6*t^3*x^2 + 1/24*t^4*x + 1/24*t^4*x^2"
     )
+
+
+GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "growing.pde"
+# SHA-256 of `rdtm solve perfbench/problems/growing.pde --order N` stdout.  The
+# problem has no closed form, so the digest guards every byte of its spectra
+# and their printing; order 14 is the benchmark's, order 18 its scale point.
+GROWING_SOLVE_DIGESTS = {
+    14: "641d354eedf8bd1beacc80ea166d3ab71f21ab5bdbf3c54f559a1c55092e6090",
+    18: "0fa3c7e65e14289d7cce10d79d490026fadda30ebdbc7114f1b022b793f9132e",
+}
+
+
+@pytest.mark.parametrize("order", sorted(GROWING_SOLVE_DIGESTS))
+def test_growing_solve_output_digest(capsys, order):
+    code, out, err = run(capsys, "solve", str(GROWING_PDE), "--order", str(order))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GROWING_SOLVE_DIGESTS[order]
 
 
 def test_spec_file_solve_matches_builtin(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Recurrence compilation, convolution, stepping and the series solver."""
 
+import math
 import random
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from rdtm.engine import (
     solve_series,
     substitute_derivatives,
 )
+from rdtm.analysis import residual_order_check
 from rdtm.cli import main
 from rdtm.errors import (
     InvalidOrderError,
@@ -31,7 +33,7 @@ from rdtm.expr import (
     ZERO,
     Atom,
     DerivSym,
-    add_expanded,
+    addends,
     Power,
     Product,
     Sum,
@@ -44,11 +46,11 @@ from rdtm.expr import (
     to_text,
 )
 from rdtm.models import ModelId, builtin_model
-from rdtm.packed import Packing
+from rdtm.packed import Packing, Poly
 from rdtm.parsing import MAX_ORDER, parse_expr
 from rdtm.specfile import parse_spec_file
 
-from oracles import nested_convolution
+from oracles import nested_convolution, series_fold
 
 x = Var("x")
 e_x = Atom("exp", x)
@@ -252,9 +254,7 @@ class TestSolveSeries:
         series = sol.to_expr()
         assert not calls
         monkeypatch.undo()
-        assert series == add_expanded(
-            mul_expanded(expand(v), simplify(Power(Var("t"), k))) for k, v in enumerate(sol.spectra)
-        )
+        assert series == series_fold(sol)
 
 
 class TestTermEvaluation:
@@ -470,3 +470,114 @@ class TestPackedFieldWidth:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error: an exponent of x reached 131072")
+
+
+RATIONAL_PDE = Path(__file__).resolve().parent / "problems" / "rational.pde"
+
+
+def load_problem(name):
+    """A built-in model, the growing problem or the rational-argument one."""
+    if name == "growing":
+        return parse_spec_file(GROWING_PDE.read_text())
+    if name == "rational":
+        return parse_spec_file(RATIONAL_PDE.read_text())
+    return builtin_model(ModelId(name))
+
+
+PROBLEMS = ["ex1", "ex2", "ex3", "growing", "rational"]
+
+
+@pytest.fixture(scope="module")
+def stepped():
+    """RecurrenceState of each problem stepped to order 10, as solve_series
+    steps it; the tests read its memos and change nothing."""
+    states = {}
+
+    def get(name):
+        if name not in states:
+            spec = load_problem(name)
+            state = RecurrenceState(compile_recurrence(spec), (expand(spec.init_u), expand(spec.init_ut)))
+            for _ in range(8):
+                state.step()
+            states[name] = state
+        return states[name]
+
+    return get
+
+
+class TestPrimitiveForm:
+    """Every packed polynomial the recurrence keeps is integer numerators
+    over one positive denominator, in lowest terms, so equal values are
+    equal Polys whatever order their terms were summed in."""
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_every_memo_entry_is_primitive(self, stepped, name):
+        state = stepped(name)
+        entries = [*state.packed, *(p for memo in (state.images, state.products)
+                                    for seq in memo.values() for p in seq)]
+        assert len(entries) > len(state.packed)
+        for p in entries:
+            numerators = [c for group in p.groups.values() for c in group.values()]
+            assert p.den > 0, p
+            assert all(p.groups.values()) and all(numerators), p
+            assert math.gcd(p.den, *numerators) == 1, p
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_reversed_accumulation_gives_an_equal_polynomial(self, stepped, name):
+        state = stepped(name)
+        assert state.products
+        for factors, seq in state.products.items():
+            j = len(seq) - 1
+            head = state._products(factors[:-1], j)
+            last = state._images(factors[-1], j)
+            entry = Poly()
+            for r in reversed(range(j + 1)):
+                state.packing.mul_into(entry, head[r], last[j - r])
+            assert state.packing.settled(entry) == seq[j], factors
+
+
+class TestSeriesBoundary:
+    @pytest.mark.parametrize("name,order", [("ex1", 8), ("ex2", 16), ("ex3", 20), ("growing", 14),
+                                            ("rational", 8)])
+    def test_to_expr_matches_the_fold(self, name, order):
+        sol = solve_series(load_problem(name), order)
+        assert sol.to_expr() == series_fold(sol)
+
+
+    def test_a_spectrum_with_t_is_refused(self, solved):
+        spec, sol = solved(ModelId.EX3, 4)
+        spectra = list(sol.spectra)
+        spectra[3] = parse_expr("x*t", ["x"])
+        with pytest.raises(ValueError, match="already has a factor of the base of t"):
+            SeriesSolution(spec, tuple(spectra), 4).to_expr()
+
+
+class TestFractionBoundary:
+    """Packed arithmetic is on ints: a Fraction is made only where a packed
+    spectrum becomes a tree, one per term."""
+
+    @pytest.fixture
+    def fractions(self, monkeypatch):
+        made = [0]
+        original = rdtm.packed.Fraction
+
+        def counting(*args):
+            made[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rdtm.packed, "Fraction", counting)
+        return made
+
+    def test_a_solve_makes_one_fraction_per_term_of_each_new_spectrum(self, fractions):
+        sol = solve_series(load_problem("growing"), 14)
+        terms = sum(len(addends(v)) for v in sol.spectra[2:])
+        assert terms > 1000
+        assert fractions[0] == terms
+
+    @pytest.mark.parametrize("name", ["growing", "rational"])
+    def test_the_residual_check_makes_none(self, fractions, name):
+        spec = load_problem(name)
+        sol = solve_series(spec, 10)
+        fractions[0] = 0
+        residual_order_check(spec, sol)
+        assert fractions[0] == 0

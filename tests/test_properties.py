@@ -192,3 +192,35 @@ def test_substitution_commutes_with_evaluation(e, value):
 def test_add_expanded_matches_simplified_sum(exprs):
     parts = [ex.expand(e) for e in exprs]
     assert ex.add_expanded(parts) == ex.simplify(ex.Sum(tuple(parts)))
+
+
+
+def _monomial(term):
+    """The factors of a canonical term without its rational coefficient."""
+    if isinstance(term, ex.Rational):
+        return ()
+    if isinstance(term, ex.Product):
+        return term.factors[1:] if isinstance(term.factors[0], ex.Rational) else term.factors
+    return (term,)
+
+
+@given(st.lists(full_exprs, max_size=4), st.randoms(use_true_random=False))
+def test_distinct_sum_matches_add_expanded_on_distinct_monomials(exprs, rng):
+    """Terms of several expanded expressions, one per monomial, in any
+    order: the one-sort sum is the merged sum."""
+    terms = {}
+    for e in exprs:
+        for term in ex.addends(ex.expand(e)):
+            terms.setdefault(_monomial(term), term)
+    terms = list(terms.values())
+    rng.shuffle(terms)
+    assert ex.distinct_sum(terms) == ex.add_expanded(terms)
+
+
+@given(full_exprs, st.integers(min_value=1, max_value=4))
+def test_times_new_factor_matches_the_expanded_product(e, k):
+    """A term of a t-free expansion times t^k, with the factor inserted, is
+    the product that mul_expanded forms."""
+    power = ex.simplify(ex.Power(ex.Var("t"), k))
+    for term in ex.addends(ex.expand(e)):
+        assert ex.times_new_factor(term, power) == ex.mul_expanded(term, power)

@@ -22,14 +22,19 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from rdtm.engine import solve_series  # noqa: E402
+from rdtm.analysis import residual_order_check  # noqa: E402
+from rdtm.engine import SeriesSolution, solve_series  # noqa: E402
+from rdtm.expr import simplify  # noqa: E402
 from rdtm.expr import to_text  # noqa: E402
 from rdtm.models import ModelId, builtin_model  # noqa: E402
 from rdtm.specfile import parse_spec_file  # noqa: E402
 
+from oracles import first_nonvanishing_degree, full_expansion_residual  # noqa: E402
+
 x, y, t = sympy.symbols("x y t")
 D = sympy.diff
 GROWING_PDE = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "growing.pde"
+RATIONAL_PDE = Path(__file__).resolve().parent / "problems" / "rational.pde"
 
 
 def sympy_spectra(rhs, init, init_t, order):
@@ -141,3 +146,58 @@ def test_random_problems(seed):
     rng = random.Random(seed)
     spec, rhs, init, init_t = random_problem(rng, seed)
     assert_same_spectra(spec, rhs, init, init_t, 5)
+
+
+# Atom arguments with rational coefficients and mixed denominators, which
+# the derivative chain rules scale by: (problem-file text or path, sympy
+# right-hand side, init, init_t, order).  The first is tests/problems/rational.pde.
+RATIONAL_PROBLEMS = {
+    "rational": (
+        RATIONAL_PDE,
+        lambda u: sympy.Rational(1, 3) * u * D(u, x) + sympy.Rational(1, 7) * x * t * D(u, x, 2)
+        - sympy.Rational(5, 11) * D(u, x, y),
+        sympy.sin(x / 2) + sympy.Rational(3, 5) * sympy.exp(sympy.Rational(2, 3) * x * y),
+        sympy.cos(x / 3 - y / 4), 6,
+    ),
+    "one-variable": (
+        'pde "one-variable" { vars: x; equation: D(u,t,2) = -2/3*u*D(u,x,2) + 1/5*x^2*D(u,x,1); '
+        "init: exp(-1/2*x) + sin(3/4*x); init_t: cos(2/5*x); }",
+        lambda u: -sympy.Rational(2, 3) * u * D(u, x, 2) + sympy.Rational(1, 5) * x**2 * D(u, x),
+        sympy.exp(-x / 2) + sympy.sin(sympy.Rational(3, 4) * x), sympy.cos(sympy.Rational(2, 5) * x), 6,
+    ),
+    "mixed": (
+        'pde "mixed" { vars: x, y; equation: D(u,t,2) = 3/4*D(u,y,1)^2 - 1/6*t*u + D(u,x,1,y,1); '
+        "init: x*exp(1/3*x - 2/5*y); init_t: sin(1/2*x*y) + 7/9*cos(5/6*y); }",
+        lambda u: sympy.Rational(3, 4) * D(u, y) ** 2 - sympy.Rational(1, 6) * t * u + D(u, x, y),
+        x * sympy.exp(x / 3 - sympy.Rational(2, 5) * y),
+        sympy.sin(x * y / 2) + sympy.Rational(7, 9) * sympy.cos(sympy.Rational(5, 6) * y), 5,
+    ),
+}
+
+
+def rational_problem(name):
+    source, rhs, init, init_t, order = RATIONAL_PROBLEMS[name]
+    text = source.read_text() if isinstance(source, Path) else source
+    return parse_spec_file(text), rhs, init, init_t, order
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_PROBLEMS))
+def test_rational_atom_arguments(name):
+    assert_same_spectra(*rational_problem(name))
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_PROBLEMS))
+def test_rational_residual_matches_full_expansion(name):
+    """The truncated residual check against the full expansion, on the
+    solved series and with V_1 or V_3 disturbed, at order 5: the full
+    expansion is the slow side."""
+    spec, order = rational_problem(name)[0], 5
+    sol = solve_series(spec, order)
+    candidates = [sol]
+    for k in (1, 3):
+        spectra = list(sol.spectra)
+        spectra[k] = simplify(spectra[k] + 1)
+        candidates.append(SeriesSolution(spec, tuple(spectra), order))
+    for candidate in candidates:
+        want = first_nonvanishing_degree(full_expansion_residual(spec, candidate), order)
+        assert residual_order_check(spec, candidate) == want
