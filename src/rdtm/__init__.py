@@ -29,7 +29,6 @@ from .engine import (
     compile_recurrence,
     evaluate_term,
     solve_series,
-    substitute_derivatives,
 )
 from .errors import (
     GridError,

@@ -9,13 +9,14 @@ them in any order gives the same table.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from decimal import Context as DecimalContext
 from fractions import Fraction
 
 from . import expr as ex
 from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError
-from .packed import Packing
+from .packed import Packing, Poly
 from .parsing import MAX_GRID_POINTS, TIME_VAR
 from .precision import PrecisionContext, mpmath
 from .record import Record
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 MAX_SIG_DIGITS = 6
+REPORT_PREC = 53  # bits of errors and printed values, whatever mpmath.mp is set to: its default
 
 
 def rational_range(start, stop, step) -> tuple:
@@ -200,11 +202,12 @@ def absolute_error_grid(
     check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
     from . import separable
 
-    floor = mpmath.mpf(10) ** -(ctx.decimal_digits - 4)
+    libmp = mpmath.libmp
+    floor = mpmath.mp.make_mpf(libmp.mpf_pow_int(libmp.from_int(10), 4 - ctx.decimal_digits, REPORT_PREC, "n"))
     axes = [((grid.row.name,), grid.row.values), (grid.col_vars, grid.col.values)]
     errors = []
     for (tv, cv), series_value, exact_value in separable.cells(sol, exact, axes, {}, ctx):
-        err = abs(series_value - exact_value)
+        err = _abs_error(series_value, exact_value)
         if 0 < err < floor:
             raise PrecisionInsufficientError(
                 f"cell ({fraction_str(tv)}, {fraction_str(cv)}): error is below "
@@ -217,6 +220,11 @@ def absolute_error_grid(
     return ErrorTable(grid, rows, sol.order, ctx.decimal_digits)
 
 
+def _abs_error(series_value, exact_value):
+    difference = mpmath.libmp.mpf_sub(series_value._mpf_, exact_value._mpf_, REPORT_PREC, "n")
+    return mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(difference))
+
+
 def residual_order_check(spec, sol: SeriesSolution) -> int:
     """Vanishing order of the residual u_tt - rhs at the truncated series.
 
@@ -225,39 +233,88 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
     least N-2 (so always >= N-3); returns sol.order when the residual is
     identically zero through its whole t-degree.
 
-    The series and the residual are packed polynomials with t as one more
-    field, formed in t-truncated arithmetic: a product of series never forms
-    a term of t^N or higher, where N is sol.order, so the whole-series
-    products of the right-hand side cost O(N^2) coefficient products instead
-    of running out to their full t-degree.  Only when every coefficient below
-    t^N vanishes, and the residual's t-degree D reaches N, is it formed once
-    more with the bound D + 1, so the first nonzero coefficient above t^N is
-    still found.  The return value is the same as that of a full expansion
-    in every case.
+    The series and the residual are graded, one packed polynomial per
+    nonzero t-degree (``_t_graded``): V_k sits at degree k (walked and
+    shifted by k if it contains t), and each derivative image of the series
+    is one derivative of a memoized image of one order less, d/dt taking
+    degree d to d - 1 times d.  Products keep only the degree pairs below
+    N = sol.order, so those of the right-hand side cost O(N^2) polynomial
+    products.  Only when every coefficient below t^N vanishes, and the
+    residual's t-degree D reaches N, is it formed once more with the bound
+    D + 1, so the first nonzero coefficient above t^N is still found.  The
+    return value is the same as that of a full expansion in every case.
     """
     packing = Packing((spec.rhs, *sol.spectra))
-    t = ex.Var(TIME_VAR)
-    series = ex.Sum(tuple(ex.Product((v, ex.Power(t, k))) for k, v in enumerate(sol.spectra)))
+    pairs = []
+    for k, v in enumerate(sol.spectra):
+        t_free = TIME_VAR not in ex.free_vars(v)
+        graded = {0: packing.from_expr(v)} if t_free else _t_graded(packing, v, math.inf, None)[0]
+        pairs += [(k + d, p) for d, p in graded.items()]
+    series = _graded_sum(packing, pairs)
+    images = {(): (series, max(series, default=0))}
+
+    def image(orders):
+        if orders not in images:
+            *rest, (var, n) = orders
+            lower, _ = image((*rest, (var, n - 1)) if n > 1 else tuple(rest))
+            if var == TIME_VAR:
+                graded = {d - 1: packing.mul(p, Poly(1, {0: {0: d}})) for d, p in lower.items() if d}
+            else:
+                graded = {d: q for d, p in lower.items() if (q := packing.diff(p, ((var, 1),))).groups}
+            images[orders] = graded, max(graded, default=0)
+        return images[orders]
+
     residual = ex.Sum((ex.deriv_sym({TIME_VAR: 2}), ex.Product((ex.rational(-1), spec.rhs))))
+    terms, top = _t_graded(packing, residual, sol.order, image)
+    if not terms and top >= sol.order:
+        terms, _ = _t_graded(packing, residual, top + 1, image)
+    return min(terms, default=sol.order)
 
-    def lowest_degree(bound):
-        """(lowest t-degree of a nonzero residual coefficient below bound, or
-        None; the residual's t-degree)"""
-        packed_series = packing.from_expr(series, bound)[0]
-        images = {}
 
-        def image(orders):
-            if orders not in images:
-                images[orders] = packing.diff(packed_series, orders)
-            return images[orders]
+def _graded_sum(packing, pairs) -> dict:
+    """{t-degree: the sum of the Polys paired with it}, without zero Polys."""
+    out = defaultdict(Poly)
+    for d, p in pairs:
+        packing.add_into(out[d], p)
+    return {d: s for d, p in out.items() if (s := packing.settled(p)).groups}
 
-        terms, top = packing.from_expr(residual, bound, image)
-        return min(packing.t_degrees(terms), default=None), top
 
-    degree, top = lowest_degree(sol.order)
-    if degree is None and top >= sol.order:
-        degree, _ = lowest_degree(top + 1)
-    return sol.order if degree is None else degree
+def _t_graded(packing, e, bound, image) -> tuple:
+    """(graded, top): the nonzero t-Maclaurin coefficients of the canonical
+    tree e below ``bound``, packed, {t-degree: Poly}, and a bound on the
+    t-degree of e: a sum's largest, a product's total, n for t^n, 0 for any
+    other leaf.  A derivative symbol is ``image(orders)``, a (graded, degree)
+    pair, and a product is a Cauchy product over the degree pairs below
+    ``bound``."""
+    t = ex.Var(TIME_VAR)
+
+    def walk(node):
+        if isinstance(node, ex.Sum):
+            walked = [walk(term) for term in node.terms]
+            pairs = [pair for graded, _ in walked for pair in graded.items()]
+            return _graded_sum(packing, pairs), max(d for _, d in walked)
+        if node == t or isinstance(node, ex.Power) and node.base == t:
+            n = node.exponent if isinstance(node, ex.Power) else 1
+            return ({n: Poly(1, {0: {0: 1}})} if n < bound else {}), n
+        if isinstance(node, ex.Power) and node.base not in packing.index:
+            node = ex.Product((node.base,) * node.exponent)
+        if isinstance(node, ex.Product):
+            graded, top = walk(node.factors[0])
+            for other, d in map(walk, node.factors[1:]):
+                out = defaultdict(Poly)
+                for i, p in graded.items():
+                    for j, q in other.items():
+                        if i + j < bound:
+                            packing.mul_into(out[i + j], p, q)
+                graded, top = {n: s for n, p in out.items() if (s := packing.settled(p)).groups}, top + d
+            return graded, top
+        if isinstance(node, ex.DerivSym):
+            graded, top = image(node.orders)
+            return {d: p for d, p in graded.items() if d < bound}, top
+        p = packing.from_expr(node)
+        return ({0: p} if p.groups else {}), 0
+
+    return walk(e)
 
 
 def taylor_coefficient(e, k: int) -> ex.Expr:
@@ -303,7 +360,7 @@ def format_scientific(value, sig_digits: int = 5) -> str:
         raise ValueError(f"significant digits must be between 1 and {MAX_SIG_DIGITS}")
     if value == 0:
         return "0"
-    raw = mpmath.nstr(mpmath.mpf(value), sig_digits + 8, strip_zeros=False)
+    raw = mpmath.nstr(mpmath.mpf(value, prec=REPORT_PREC, rounding="n"), sig_digits + 8, strip_zeros=False)
     d = DecimalContext(prec=sig_digits).create_decimal(raw)
     mantissa, _, exponent = f"{d:E}".partition("E")
     sign = exponent[0]
@@ -383,7 +440,7 @@ def export_figure_data(
 
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
     rows = tuple(
-        (*coords, series_value, exact_value, abs(series_value - exact_value))
+        (*coords, series_value, exact_value, _abs_error(series_value, exact_value))
         for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
     )
     return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)

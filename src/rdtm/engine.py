@@ -56,7 +56,6 @@ __all__ = [
     "cauchy_product",
     "solve_series",
     "evaluate_term",
-    "substitute_derivatives",
 ]
 
 # Synthetic factor standing in for the constant function 1, whose spectrum is
@@ -283,8 +282,8 @@ class RecurrenceState:
         self.rec = rec
         self.spectra = list(spectra)
         self.packing = Packing((*self.spectra, *(term.coefficient for term in rec.terms)))
-        self.packed = [self.packing.from_expr(v)[0] for v in self.spectra]
-        self.coefficients = {term: self.packing.from_expr(term.coefficient)[0] for term in rec.terms}
+        self.packed = [self.packing.from_expr(v) for v in self.spectra]
+        self.coefficients = {term: self.packing.from_expr(term.coefficient) for term in rec.terms}
         self.images = {}
         self.products = {}
 
@@ -353,32 +352,3 @@ def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
         state.step()
     return SeriesSolution(spec, tuple(state.spectra), order)
 
-
-def substitute_derivatives(e, source) -> ex.Expr:
-    """Replace every derivative symbol in e by the corresponding spatial
-    derivative of source (used to form residuals of candidate solutions)."""
-    source = ex.simplify(source)
-    cache = {}
-
-    def image(orders):
-        if orders not in cache:
-            value = source
-            for var, order in orders:
-                value = ex.differentiate(value, var, order)
-            cache[orders] = value
-        return cache[orders]
-
-    def walk(node):
-        if isinstance(node, ex.DerivSym):
-            return image(node.orders)
-        if isinstance(node, ex.Atom):
-            return node
-        if isinstance(node, ex.Power):
-            return ex.Power(walk(node.base), node.exponent)
-        if isinstance(node, ex.Product):
-            return ex.Product(tuple(walk(f) for f in node.factors))
-        if isinstance(node, ex.Sum):
-            return ex.Sum(tuple(walk(t) for t in node.terms))
-        return node
-
-    return ex.simplify(walk(ex.simplify(e)))

@@ -23,16 +23,15 @@ each coefficient's numerator and denominator, and ``to_expr`` builds the
 canonical expanded tree of a packed polynomial, one Fraction per term.
 
 A Packing fixes the fields for one computation, from its inputs: one per
-variable, one per sin and one per cos of every atom argument, and t in the
-highest field.  Products and derivatives never create a new sin/cos
-argument, so these fields serve throughout; exp arguments, which products
-add up, get ids as they appear.  Every field below t's is wide enough for
-2^15 times the largest exponent in the inputs, and its top bit is a guard
-that no stored exponent sets: adding two keys then never carries into the
-next field, and a result that sets a guard bit is refused.  t's field is the
-highest, so it is unbounded, a key's t-degree is ``key >> t_shift``, and a
-product truncated below t^n keeps the pairs whose key sum is below
-``n << t_shift``.
+variable other than t, and one per sin and one per cos of every atom
+argument.  Products and derivatives never create a new sin/cos argument, so
+these fields serve throughout; exp arguments, which products add up, get ids
+as they appear.  Every field is wide enough for 2^15 times the largest
+exponent in the inputs, and its top bit is a guard that no stored exponent
+sets: adding two keys then never carries into the next field, and a result
+that sets a guard bit is refused.  t gets no field: a caller that needs
+powers of t, as the residual check does, keeps one Poly per t-degree, and an
+atom whose argument contains t is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import math
 from fractions import Fraction
 
 from . import expr as ex
-from .errors import UnsupportedExpressionError
+from .errors import UnsupportedCoefficientError, UnsupportedExpressionError
 from .parsing import TIME_VAR
 
 __all__ = ["Packing", "Poly"]
@@ -82,6 +81,11 @@ def _rescale(p, den) -> None:
         p.den = den
 
 
+def _check_t_free(atom) -> None:
+    if TIME_VAR in ex.free_vars(atom.argument):
+        raise UnsupportedCoefficientError(f"t may appear only in integer powers t^n, found {ex.to_text(atom)}")
+
+
 class Packing:
     """Fields, exp-argument ids and derivative tables for polynomials built
     from ``inputs`` (canonical trees)."""
@@ -90,21 +94,15 @@ class Packing:
         inputs = tuple(inputs)
         nodes = [node for e in inputs for node in ex.subtrees(e)]
         largest = max((node.exponent for node in nodes if isinstance(node, ex.Power)), default=1)
-        names = sorted(set().union(*map(ex.free_vars, inputs)) - {TIME_VAR})
+        names = sorted({node.name for node in nodes if isinstance(node, ex.Var)} - {TIME_VAR})
         bases = [ex.Var(name) for name in names]
         for node in nodes:
-            if isinstance(node, ex.Atom) and node.kind in _PARTNER:
-                for kind in ("sin", "cos"):
-                    atom = ex.Atom(kind, node.argument)
-                    if atom not in bases:
-                        bases.append(atom)
-        bases.append(ex.Var(TIME_VAR))
+            if isinstance(node, ex.Atom) and node.kind in _PARTNER and ex.Atom("sin", node.argument) not in bases:
+                _check_t_free(node)
+                bases += [ex.Atom("sin", node.argument), ex.Atom("cos", node.argument)]
         self.width = width = largest.bit_length() + HEADROOM_BITS
-        self.t_shift = width * (len(bases) - 1)
-        self.guard = sum(1 << (width * f + width - 1) for f in range(len(bases) - 1))
-        # (base, shift, mask) per field; t's mask keeps every bit above its shift
-        self.fields = [(base, width * f, (1 << width) - 1) for f, base in enumerate(bases[:-1])]
-        self.fields.append((bases[-1], self.t_shift, -1))
+        self.guard = sum(1 << (width * f + width - 1) for f in range(len(bases)))
+        self.fields = [(base, width * f, (1 << width) - 1) for f, base in enumerate(bases)]
         self.index = {base: (shift, mask) for base, shift, mask in self.fields}
         self.exp_args = [ex.ZERO]
         self.exp_ids = {ex.ZERO: 0}
@@ -114,50 +112,30 @@ class Packing:
 
     # -- boundary -----------------------------------------------------------
 
-    def from_expr(self, e, below=None, images=None):
-        """(p, degree): the canonical tree e packed, without its terms of
-        t-degree ``below`` or more, and an upper bound on the t-degree of
-        the whole of e.  A derivative symbol becomes ``images(orders)``.
-
-        Sums add and products and powers multiply, skipping every pair of
-        terms whose t-degrees reach ``below``.  The degree is counted by the
-        same rules: the largest of a sum's, the total of a product's, the
-        t-degree of a leaf or an image as it stands."""
-        limit = math.inf if below is None else below << self.t_shift
-        t_shift = self.t_shift
+    def from_expr(self, e) -> Poly:
+        """The t-free canonical tree e packed: sums add, products and powers
+        multiply."""
 
         def walk(node):
             if isinstance(node, ex.Sum):
-                out, degree = Poly(), 0
+                out = Poly()
                 for term in node.terms:
-                    p, d = walk(term)
-                    self.add_into(out, p)
-                    degree = max(degree, d)
-                return self.settled(out), degree
-            if isinstance(node, ex.Product):
-                p, degree = walk(node.factors[0])
-                for factor in node.factors[1:]:
-                    q, d = walk(factor)
-                    p, degree = self.mul(p, q, below), degree + d
-                return p, degree
+                    self.add_into(out, walk(term))
+                return self.settled(out)
             if isinstance(node, ex.Power) and node.base not in self.index:
-                q, d = walk(node.base)
-                p = q
-                for _ in range(node.exponent - 1):
-                    p = self.mul(p, q, below)
-                return p, d * node.exponent
-            if isinstance(node, ex.DerivSym):
-                p = images(node.orders)
-                kept = {i: {k: c for k, c in group.items() if k < limit} for i, group in p.groups.items()}
-                return self.settled(Poly(p.den, kept)), max(self.t_degrees(p), default=0)
+                node = ex.Product((node.base,) * node.exponent)
+            if isinstance(node, ex.Product):
+                p = walk(node.factors[0])
+                for factor in node.factors[1:]:
+                    p = self.mul(p, walk(factor))
+                return p
             if isinstance(node, ex.Rational):
                 value = node.value
-                return (Poly(value.denominator, {0: {0: value.numerator}}) if value else Poly()), 0
+                return Poly(value.denominator, {0: {0: value.numerator}}) if value else Poly()
             if isinstance(node, ex.Atom) and node.kind == "exp":
-                return Poly(1, {self._exp_id(node.argument): {0: 1}}), 0
+                return Poly(1, {self._exp_id(node.argument): {0: 1}})
             base, n = (node.base, node.exponent) if isinstance(node, ex.Power) else (node, 1)
-            key = n << self.index[base][0]
-            return (Poly(1, {0: {key: 1}}) if key < limit else Poly()), key >> t_shift
+            return Poly(1, {0: {n << self.index[base][0]: 1}})
 
         return walk(e)
 
@@ -170,9 +148,6 @@ class Packing:
                 powers = [(base, n) for base, shift, mask in self.fields if (n := (key >> shift) & mask)]
                 terms.append(ex.monomial(Fraction(c, p.den), powers + exp_factor))
         return ex.distinct_sum(terms)
-
-    def t_degrees(self, p) -> set:
-        return {key >> self.t_shift for group in p.groups.values() for key in group}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -187,10 +162,8 @@ class Packing:
                 c *= factor
                 dest[key] = dest[key] + c if key in dest else c
 
-    def mul_into(self, out, a, b, below=None) -> None:
-        """out += a*b, skipping every pair of terms whose t-degrees add up to
-        ``below`` or more; zero numerators are left for ``settled``."""
-        limit = math.inf if below is None else below << self.t_shift
+    def mul_into(self, out, a, b) -> None:
+        """out += a*b, leaving zero numerators for ``settled``."""
         den = math.lcm(out.den, a.den * b.den)
         _rescale(out, den)
         factor = den // (a.den * b.den)
@@ -201,12 +174,11 @@ class Packing:
                     ca *= factor
                     for kb, cb in group_b.items():
                         key = ka + kb
-                        if key < limit:
-                            dest[key] = dest[key] + ca * cb if key in dest else ca * cb
+                        dest[key] = dest[key] + ca * cb if key in dest else ca * cb
 
-    def mul(self, a, b, below=None) -> Poly:
+    def mul(self, a, b) -> Poly:
         out = Poly()
-        self.mul_into(out, a, b, below)
+        self.mul_into(out, a, b)
         return self.settled(out)
 
     def diff(self, p, orders) -> Poly:
@@ -276,6 +248,7 @@ class Packing:
 
     def _exp_id(self, argument) -> int:
         if argument not in self.exp_ids:
+            _check_t_free(ex.Atom("exp", argument))
             self.exp_ids[argument] = len(self.exp_args)
             self.exp_args.append(argument)
         return self.exp_ids[argument]
@@ -293,7 +266,7 @@ class Packing:
         """(den, {key: numerator}) of the derivative of an atom argument,
         which is a polynomial, in primitive form."""
         if (argument, var) not in self.argument_derivatives:
-            packed = self.from_expr(argument)[0]
+            packed = self.from_expr(argument)
             d = self.settled(Poly(packed.den, {0: self._power_rule(packed.groups.get(0, {}), var)}))
             self.argument_derivatives[argument, var] = d.den, d.groups.get(0, {})
         return self.argument_derivatives[argument, var]

@@ -16,7 +16,6 @@ from fractions import Fraction
 import mpmath
 
 from rdtm import expr as ex
-from rdtm.engine import substitute_derivatives
 from rdtm.precision import PrecisionContext, eval_number, fraction_to_mpf
 
 
@@ -111,6 +110,30 @@ def series_fold(sol):
     return ex.add_expanded(
         ex.mul_expanded(v, ex.simplify(ex.Power(t, k))) for k, v in enumerate(sol.spectra)
     )
+
+
+def substitute_derivatives(e, source):
+    """e with every derivative symbol replaced by that derivative of source,
+    each taken once by ``expr.differentiate`` on the tree."""
+    images = {}
+
+    def walk(node):
+        if isinstance(node, ex.DerivSym):
+            if node.orders not in images:
+                value = source
+                for var, order in node.orders:
+                    value = ex.differentiate(value, var, order)
+                images[node.orders] = value
+            return images[node.orders]
+        if isinstance(node, ex.Power):
+            return ex.Power(walk(node.base), node.exponent)
+        if isinstance(node, ex.Product):
+            return ex.Product(tuple(map(walk, node.factors)))
+        if isinstance(node, ex.Sum):
+            return ex.Sum(tuple(map(walk, node.terms)))
+        return node
+
+    return ex.simplify(walk(ex.simplify(e)))
 
 
 def full_expansion_residual(spec, sol) -> dict:

@@ -28,7 +28,7 @@ from rdtm.analysis import (
     taylor_coefficient,
 )
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
-from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError
+from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError, UnsupportedCoefficientError
 from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, subtrees, to_text
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
 from rdtm.packed import Packing
@@ -549,6 +549,8 @@ CONSTANT_PDE = 'pde "constant" { vars: x; equation: D(u,t,2) = -1; init: 0; init
 # and below order 7 the series is 0, so the residual check falls back to the
 # residual's t-degree, which it reads through that power.
 POWER_OF_SUM_PDE = 'pde "power" { vars: x; equation: D(u,t,2) = x*(t + t^2)^3; init: 0; init_t: 0; }'
+# The residual's first nonzero coefficient is at t^20000.
+HIGH_POWER_PDE = 'pde "tp" { vars: x; equation: D(u,t,2) = t^20000*u + x; init: x; init_t: 0; }'
 # exp(x) is an atom factor of the compiled term's spatial coefficient.
 ATOM_COEFFICIENT_PDE = 'pde "atom" { vars: x; equation: D(u,t,2) = exp(x)*u; init: 1; init_t: 0; }'
 
@@ -643,39 +645,73 @@ class TestTruncatedResidual:
         sol = solve_series(spec, order)
         assert first_nonvanishing_degree(full_expansion_residual(spec, sol), order) == vanish
         seen = []
-        original = Packing.from_expr
+        original = rdtm.analysis._t_graded
 
-        def recording(self, e, below=None, images=None):
-            seen.append(below)
-            return original(self, e, below, images)
+        def recording(packing, e, bound, *args):
+            seen.append(bound)
+            return original(packing, e, bound, *args)
 
-        monkeypatch.setattr(Packing, "from_expr", recording)
+        monkeypatch.setattr(rdtm.analysis, "_t_graded", recording)
         assert residual_order_check(spec, sol) == vanish
         assert seen and set(seen) == bounds
 
     def test_products_stop_at_the_truncation_order(self, monkeypatch):
         """Monomial pairs multiplied during the check of growing.pde at order
-        8: 2534 with truncation, 25008 when the residual is expanded to its
-        whole t-degree."""
+        8: 2658 with truncation (the d/dt scalings of u_tt included), 25008
+        when the residual is expanded to its whole t-degree."""
         spec = parse_spec_file(GROWING_PDE.read_text())
         sol = solve_series(spec, 8)
         pairs = [0]
         original = Packing.mul_into
 
-        def counting(self, out, a, b, below=None):
-            pairs[0] += sum(
-                1
-                for group_a in a.groups.values()
-                for group_b in b.groups.values()
-                for ka in group_a
-                for kb in group_b
-                if below is None or (ka >> self.t_shift) + (kb >> self.t_shift) < below
-            )
-            return original(self, out, a, b, below)
+        def counting(self, out, a, b):
+            pairs[0] += sum(len(ga) * len(gb) for ga in a.groups.values() for gb in b.groups.values())
+            return original(self, out, a, b)
 
         monkeypatch.setattr(Packing, "mul_into", counting)
         assert residual_order_check(spec, sol) == 6
         assert 0 < pairs[0] < 10000, pairs[0]
+
+    @pytest.mark.parametrize("order, vanish", [(14, 12), (18, 16)])
+    def test_growing_problem_at_scale(self, order, vanish):
+        spec = parse_spec_file(GROWING_PDE.read_text())
+        assert residual_order_check(spec, solve_series(spec, order)) == vanish
+
+    def test_spectrum_that_contains_t_is_walked_by_degree(self, solved):
+        """Moving V_3 t^3 into V_2 as -1/6*x^2*t leaves the series, and so the
+        residual, as it was: that V_2 counts at degree 3, not at degree 2."""
+        spec, sol = solved(ModelId.EX3, 6)
+        assert residual_order_check(spec, sol) == 5
+        spectra = list(sol.spectra)
+        assert (to_text(spectra[2]), to_text(spectra[3])) == ("0", "-1/6*x^2")
+        spectra[2], spectra[3] = parse_expr("-1/6*x^2*t", ("x",)), ZERO
+        assert residual_order_check(spec, SeriesSolution(spec, tuple(spectra), 6)) == 5
+
+    def test_a_power_of_t_is_one_degree(self, monkeypatch):
+        """t^20000 is one degree of the graded residual, so the check that
+        finds the residual's first nonzero coefficient at t^20000 makes 9
+        polynomial products; one entry per degree would make tens of
+        thousands."""
+        spec = parse_spec_file(HIGH_POWER_PDE)
+        sol = solve_series(spec, 10)
+        calls = [0]
+        original = Packing.mul_into
+
+        def counting(self, *args):
+            calls[0] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Packing, "mul_into", counting)
+        assert residual_order_check(spec, sol) == 20000
+        assert 0 < calls[0] < 20, calls[0]
+
+    @pytest.mark.parametrize("text", ["x^2*sin(t)", "exp(x*t)"])
+    def test_an_atom_of_t_is_refused(self, solved, text):
+        spec, sol = solved(ModelId.EX3, 6)
+        spectra = list(sol.spectra)
+        spectra[1] = parse_expr(text, ("x",))
+        with pytest.raises(UnsupportedCoefficientError, match="t may appear only in integer powers"):
+            residual_order_check(spec, SeriesSolution(spec, tuple(spectra), 6))
 
     def test_leaves_are_split_without_re_expansion(self, monkeypatch, solved):
         """The residual is packed from its canonical leaves as they stand, so
@@ -718,6 +754,24 @@ class TestRendering:
         assert format_scientific(mpmath.mpf("737.4"), 2) == "7.4E+2"
         with pytest.raises(ValueError):
             format_scientific(mpmath.mpf(1), 7)
+
+    def test_results_do_not_depend_on_the_ambient_precision(self, solved):
+        """Errors are formed and values rounded for printing at 53 bits,
+        whatever mpmath.mp is set to; at 2 digits the table cell printed
+        3.21965E-13 and the figure's series value 1.09570E+0."""
+        spec, sol = solved(ModelId.EX1, 8)
+        grid = Grid2D(GridAxis("t", (F(1, 10), F(1, 2))), GridAxis("x", (F(1, 2), F(1))), ("x", "y"))
+        sweeps = [("x", 0, 1, F(1, 2)), ("t", F(1, 10), F(1, 10), 1)]
+        results = []
+        for dps in (2, 15, 100):
+            with mpmath.workdps(dps):
+                table = absolute_error_grid(sol, spec.exact, grid, CTX)
+                figure = export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+                results.append((table.values, render_table(table, "csv", 6), figure.to_csv()))
+        assert results[0] == results[1] == results[2]
+        _, rendered, csv = results[0]
+        assert rendered.splitlines()[1].startswith("0.1,3.21961E-13,")
+        assert csv.splitlines()[1].startswith("0,0.1,1.09484E+0,")
 
     def test_fraction_str(self):
         assert fraction_str(F(3, 10)) == "0.3"
