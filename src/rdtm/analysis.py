@@ -98,10 +98,15 @@ def check_bindings(spatial_vars, swept, fixed=()) -> None:
         raise GridError("slice and sweep bind the same variable (over-constrained)")
     needed = set(spatial_vars) | {TIME_VAR}
     bound = fixed | set(swept)
-    if bound - needed:
-        raise GridError(f"unknown variables {sorted(bound - needed)}")
+    _check_known(spatial_vars, bound)
     if needed - bound:
         raise GridError(f"unbound variables {sorted(needed - bound)} (under-constrained)")
+
+
+def _check_known(spatial_vars, names) -> None:
+    unknown = set(names) - set(spatial_vars) - {TIME_VAR}
+    if unknown:
+        raise GridError(f"unknown variables {sorted(unknown)}")
 
 
 def _as_fractions(values) -> tuple:
@@ -175,13 +180,13 @@ class FigureData(Record):
 
 def evaluate_series(sol: SeriesSolution, point, ctx: PrecisionContext = PrecisionContext()):
     """Truncated series value sum(V_k(point) * t^k) with exact rational
-    t-powers, accumulated in high precision."""
+    t-powers, accumulated in high precision.  The point must bind t and
+    every spatial variable, and nothing else."""
+    _check_known(sol.spec.spatial_vars, point)
     # The cell kernel loads at the first evaluation; solve and check never need it.
     from . import separable
 
-    evaluator = separable.SeriesEvaluator(sol, (), point)
-    with mpmath.workdps(ctx.working_dps):
-        return evaluator.at(())
+    return mpmath.mp.make_mpf(separable.SeriesEvaluator(sol, (), point, ctx.prec).at(()))
 
 
 def absolute_error_grid(
@@ -221,7 +226,8 @@ def absolute_error_grid(
 
 
 def _abs_error(series_value, exact_value):
-    difference = mpmath.libmp.mpf_sub(series_value._mpf_, exact_value._mpf_, REPORT_PREC, "n")
+    """|series - exact| of two raw values, rounded to REPORT_PREC bits, as an mpf."""
+    difference = mpmath.libmp.mpf_sub(series_value, exact_value, REPORT_PREC, "n")
     return mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(difference))
 
 
@@ -439,8 +445,9 @@ def export_figure_data(
     from . import separable
 
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
+    make_mpf = mpmath.mp.make_mpf
     rows = tuple(
-        (*coords, series_value, exact_value, _abs_error(series_value, exact_value))
+        (*coords, make_mpf(series_value), make_mpf(exact_value), _abs_error(series_value, exact_value))
         for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
     )
     return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)

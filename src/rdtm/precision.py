@@ -1,10 +1,19 @@
 """High-precision numeric evaluation of expressions.
 
 Polynomial subtrees with rational bindings are evaluated in exact rational
-arithmetic; rounding happens only where an exp/sin/cos atom forces it, via
-mpmath at the context's working precision plus guard digits.  Results are
-deterministic for fixed inputs and precision, so a caller that evaluates
-many points may pass one atom memo to every call and get the same bits.
+arithmetic.  Rounding happens only where an exp/sin/cos atom forces it, and
+from there on every operation rounds to nearest at the one precision in bits
+that the caller passes: ``PrecisionContext.prec``, the context's decimal
+digits plus guard digits in bits, as ``mpmath.workdps`` would set them.  No
+evaluation reads or sets mpmath's global context (``fraction_to_mpf``, a
+conversion for callers that work at the ambient precision, is the one
+function that reads it).  Values stay raw ``libmp`` tuples, and ``mpf``
+objects are made only for the public results (``eval_canonical``,
+``eval_precise``).  ``combine``, the rule for a product or sum of exact and
+rounded values, and ``to_raw``, the one Fraction-to-raw conversion, serve
+the cell kernel ``separable`` as well.  Results are deterministic for fixed
+inputs and precision, so a caller that evaluates many points may pass one
+atom memo to every call and get the same bits.
 
 This is the one module that binds ``mpmath``, and it loads it lazily: the
 import runs at the first attribute access, so commands that never evaluate
@@ -15,6 +24,7 @@ a number (``solve``, ``check``) do not pay for it.  ``analysis`` takes
 from __future__ import annotations
 
 import importlib.util
+import operator
 import sys
 from fractions import Fraction
 
@@ -28,7 +38,6 @@ __all__ = [
     "eval_canonical",
     "eval_number",
     "fraction_to_mpf",
-    "to_mpf",
     "is_exact",
     "GUARD_DIGITS",
     "MIN_DECIMAL_DIGITS",
@@ -59,14 +68,6 @@ def _lazy_module(name):
 
 mpmath = _lazy_module("mpmath")
 
-# The functions are looked up at call time, so that building this table
-# does not load mpmath.
-_ATOM_FUNCTIONS = {
-    "exp": lambda x: mpmath.exp(x),
-    "sin": lambda x: mpmath.sin(x),
-    "cos": lambda x: mpmath.cos(x),
-}
-
 
 class PrecisionContext(Record):
     """Working precision for transcendental evaluation, in decimal digits.
@@ -92,18 +93,26 @@ class PrecisionContext(Record):
     def working_dps(self) -> int:
         return self.decimal_digits + GUARD_DIGITS
 
+    @property
+    def prec(self) -> int:
+        """The working precision in bits, as ``mpmath.workdps(working_dps)`` sets it."""
+        return mpmath.libmp.dps_to_prec(self.working_dps)
+
+
+def to_raw(value, prec: int):
+    """An ``eval_number`` result as a raw mpf at ``prec`` bits: a Fraction's
+    numerator and denominator rounded to nearest and divided, as
+    ``mpf(numerator) / mpf(denominator)`` does; a raw value as it is."""
+    if not isinstance(value, Fraction):
+        return value
+    libmp = mpmath.libmp
+    numerator = libmp.from_int(value.numerator, prec, "n")
+    return libmp.mpf_div(numerator, libmp.from_int(value.denominator, prec, "n"), prec, "n")
+
 
 def fraction_to_mpf(value: Fraction) -> mpmath.mpf:
     """Exact numerator/denominator conversion at the current mpmath precision."""
-    return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-
-
-def to_mpf(value) -> mpmath.mpf:
-    """An ``eval_number`` result as ``eval_canonical`` returns it: a Fraction
-    converted, an mpf rounded, at the current mpmath precision."""
-    if isinstance(value, Fraction):
-        return fraction_to_mpf(value)
-    return +value
+    return mpmath.mp.make_mpf(to_raw(value, mpmath.mp.prec))
 
 
 def is_exact(e) -> bool:
@@ -112,21 +121,24 @@ def is_exact(e) -> bool:
     return not any(isinstance(node, ex.Atom) for node in ex.subtrees(e))
 
 
-def eval_number(e, point, atoms=None):
-    """Evaluate a canonical expression, as given, under the current mpmath
-    precision; ``eval_precise`` is the door for raw trees.
+def eval_number(e, point, prec: int, atoms=None):
+    """Evaluate a canonical expression, as given, at ``prec`` bits;
+    ``eval_precise`` is the door for raw trees.
 
-    Returns an exact Fraction whenever the subtree is atom-free, an mpf
-    otherwise.  ``point`` maps variable names to exact rationals.  ``atoms``
-    is an optional memo of atom values, keyed by (kind, argument value,
-    mpmath precision in bits); a caller that shares one dict across calls
-    computes each atom once per argument, with the same result bits.
+    Returns an exact Fraction whenever the subtree is atom-free, a raw mpf
+    otherwise: each atom is ``libmp``'s exp, sin or cos of its exact
+    argument, and each operation on a rounded value the ``libmp`` call that
+    mpf arithmetic makes, all rounded to nearest at ``prec``.  ``point`` maps
+    variable names to exact rationals.  ``atoms`` is an optional memo of atom
+    values, keyed by (kind, argument value, prec); a caller that shares one
+    dict across calls computes each atom once per argument, with the same
+    result bits.
     """
     point = {name: ex.as_fraction(value) for name, value in point.items()}
-    return _eval(e, point, {} if atoms is None else atoms)
+    return _eval(e, point, prec, {} if atoms is None else atoms)
 
 
-def _eval(e, point, atoms):
+def _eval(e, point, prec, atoms):
     if isinstance(e, ex.Rational):
         return e.value
     if isinstance(e, ex.Var):
@@ -135,36 +147,45 @@ def _eval(e, point, atoms):
         except KeyError:
             raise UnboundVariableError(f"unbound variable {e.name!r}") from None
     if isinstance(e, ex.Atom):
-        argument = _eval(e.argument, point, atoms)
-        key = (e.kind, argument, mpmath.mp.prec)
+        argument = _eval(e.argument, point, prec, atoms)
+        key = (e.kind, argument, prec)
         value = atoms.get(key)
         if value is None:
-            value = atoms[key] = _ATOM_FUNCTIONS[e.kind](fraction_to_mpf(argument))
+            function = getattr(mpmath.libmp, "mpf_" + e.kind)
+            value = atoms[key] = function(to_raw(argument, prec), prec, "n")
         return value
     if isinstance(e, ex.Power):
-        return _eval(e.base, point, atoms) ** e.exponent
+        base = _eval(e.base, point, prec, atoms)
+        if isinstance(base, Fraction):
+            return base**e.exponent
+        return mpmath.libmp.mpf_pow_int(base, e.exponent, prec, "n")
     if isinstance(e, ex.Product):
-        parts = [_eval(f, point, atoms) for f in e.factors]
-        return _combine(parts, Fraction(1), lambda a, b: a * b)
+        return combine(e, [_eval(f, point, prec, atoms) for f in e.factors], prec)
     if isinstance(e, ex.Sum):
-        parts = [_eval(t, point, atoms) for t in e.terms]
-        return _combine(parts, Fraction(0), lambda a, b: a + b)
+        return combine(e, [_eval(t, point, prec, atoms) for t in e.terms], prec)
     raise UnsupportedExpressionError(
         f"no numeric value for {ex.to_text(e)} (derivative symbols cannot be evaluated)"
     )
 
 
-def _combine(parts, unit, op):
-    exact = unit
-    inexact = None
-    for p in parts:
-        if isinstance(p, Fraction):
-            exact = op(exact, p)
+def combine(node, parts, prec: int):
+    """The value of a Product or Sum ``node`` from its children's values
+    ``parts``, in order: the Fractions multiply (or add) exactly into one,
+    the raw values fold in order at ``prec``, and the fold, if any, then
+    takes the exact part converted by ``to_raw``."""
+    if isinstance(node, ex.Product):
+        exact, exact_op, rounded_op = Fraction(1), operator.mul, mpmath.libmp.mpf_mul
+    else:
+        exact, exact_op, rounded_op = Fraction(0), operator.add, mpmath.libmp.mpf_add
+    rounded = None
+    for part in parts:
+        if isinstance(part, Fraction):
+            exact = exact_op(exact, part)
         else:
-            inexact = p if inexact is None else op(inexact, p)
-    if inexact is None:
+            rounded = part if rounded is None else rounded_op(rounded, part, prec, "n")
+    if rounded is None:
         return exact
-    return op(inexact, fraction_to_mpf(exact))
+    return rounded_op(rounded, to_raw(exact, prec), prec, "n")
 
 
 def eval_precise(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
@@ -177,5 +198,5 @@ def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext(), atoms=N
     """``eval_precise`` of a canonical expression, evaluated as given, so a
     caller that evaluates one expression at many points simplifies it once
     (and may share an ``atoms`` memo, as in ``eval_number``)."""
-    with mpmath.workdps(ctx.working_dps):
-        return to_mpf(eval_number(e, point, atoms))
+    prec = ctx.prec
+    return mpmath.mp.make_mpf(to_raw(eval_number(e, point, prec, atoms), prec))

@@ -5,7 +5,8 @@ cartesian grid.  Both are separable: ``SeriesEvaluator`` evaluates each
 spectrum once per spatial point and each power of t once per t, and
 ``ExactSplit`` evaluates each subtree of the exact solution once per value
 of the one axis it reads.  Every value is bit-identical to evaluating its
-point alone.
+point alone.  The kernel works on raw ``libmp`` values at the one precision
+in bits that its caller passes, and never touches mpmath's global context.
 
 Only ``table``, ``figure`` and ``demo`` evaluate cells, so ``analysis``
 imports this module at the first evaluation, and the other commands do
@@ -26,7 +27,7 @@ from . import precision
 from .engine import SeriesSolution
 from .errors import UnboundVariableError
 from .parsing import TIME_VAR
-from .precision import PrecisionContext, fraction_to_mpf, is_exact, mpmath, to_mpf
+from .precision import PrecisionContext, is_exact, mpmath, to_raw
 
 __all__ = ["SeriesEvaluator", "ExactSplit", "cells"]
 
@@ -36,66 +37,64 @@ def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContex
     cartesian product of ``axes``, row-major.  ``axes`` is a sequence of
     (variables, values): a coordinate binds every variable of its axis, and
     ``fixed`` binds the others.  One simplified ``exact``, split once by
-    ``ExactSplit``, and one SeriesEvaluator serve every cell, which is
-    computed at the working precision and returned as mpf values."""
+    ``ExactSplit``, and one SeriesEvaluator serve every cell.  Both values
+    are raw mpf tuples at ``ctx.prec`` bits, the series as
+    ``analysis.evaluate_series`` and the exact value as
+    ``precision.eval_canonical`` compute them at the cell's point."""
+    prec = ctx.prec
     exact = ex.simplify(exact)
-    evaluator = SeriesEvaluator(sol, axes, fixed)
-    exact_at = ExactSplit(axes, fixed, evaluator.atoms).split(exact, to_mpf)
+    evaluator = SeriesEvaluator(sol, axes, fixed, prec)
+    exact_at = ExactSplit(axes, fixed, prec, evaluator.atoms).split(exact)
     values = [values for _, values in axes]
     indices = [range(len(v)) for v in values]
     # A tuple built from an iterator is allocated long and shrunk, and once
     # freed it lands in the interpreter's free list of short tuples; one per
     # cell fills that list and raised peak memory on dense grids.
     for coords, index in zip(itertools.product(*values), itertools.product(*indices)):
-        with mpmath.workdps(ctx.working_dps):
-            series_value = evaluator.at(index)
-            exact_value = exact_at(index)
-        yield coords, series_value, exact_value
+        yield coords, evaluator.at(index), to_raw(exact_at(index), prec)
 
 
 class ExactSplit:
-    """The exact solution at the cells of ``cells``: ``split(exact, to_mpf)``
-    is a function of a cell's axis indices that returns
-    ``eval_canonical(exact, point)`` there, to be called at the working
-    precision.
+    """The exact solution at the cells of ``cells``: ``split(exact)`` is a
+    function of a cell's axis indices that returns
+    ``eval_number(exact, point, prec)`` there.
 
     The canonical tree is split once, by the axes its subtrees read.  A
     subtree whose free variables all lie in one axis, or in ``fixed``, is
     evaluated by ``eval_number`` once per value of that axis (once, for none).
-    A Product or Sum that reads several axes combines its children's values
-    by ``precision._combine``'s rule: its exact children multiply (or add)
-    into one Fraction, whose ``fraction_to_mpf`` is itself such a subtree
-    when they read at most one axis, and the rounded children fold in order,
-    then take the exact part.  Any other node that reads several axes, such
-    as exp(x*t), is evaluated in every cell.  So each value is the one that
-    ``eval_number`` returns for its subtree at the cell's point, with
-    ``eval_number``'s operations in its order, and every cell is
-    bit-identical to ``eval_canonical``.  A value is kept only when another
-    axis varies, so that its key recurs.
+    A Product or Sum that reads several axes splits each of its children
+    and folds their values at the cell with ``precision.combine``, the rule
+    ``eval_number`` itself applies to such a node.  Any other node that
+    reads several axes, such as exp(x*t), is evaluated in every cell.  So
+    each value is the one that ``eval_number`` returns for its subtree at
+    the cell's point, with ``eval_number``'s operations in its order, and
+    every cell is bit-identical to ``eval_canonical``.  A value is kept only
+    when another axis varies, so that its key recurs.
 
     The functions that ``split`` returns refer to no function that refers
     back to them, so the memos are freed with the last cell, not by the
     cycle collector.
     """
 
-    def __init__(self, axes, fixed, atoms):
-        self.axes, self.fixed, self.atoms = axes, fixed, atoms
+    def __init__(self, axes, fixed, prec, atoms):
+        self.axes, self.fixed, self.prec, self.atoms = axes, fixed, prec, atoms
         self.owner = {name: a for a, (names, _) in enumerate(axes) for name in names}
         self.lengths = [len(values) for _, values in axes]
 
-    def split(self, node, finish):
+    def split(self, node):
         read = sorted({self.owner[name] for name in ex.free_vars(node) if name in self.owner})
+        axes, fixed, prec, atoms = self.axes, self.fixed, self.prec, self.atoms
         if len(read) > 1 and isinstance(node, (ex.Product, ex.Sum)):
-            return self._combine(node, finish)
-        axes, fixed, atoms = self.axes, self.fixed, self.atoms
+            children = node.factors if isinstance(node, ex.Product) else node.terms
+            parts = [self.split(child) for child in children]
+            return lambda index: precision.combine(node, [part(index) for part in parts], prec)
 
         def evaluate(index):
             point = dict(fixed)
             for a in read:
                 names, values = axes[a]
                 point.update(dict.fromkeys(names, values[index[a]]))
-            value = precision.eval_number(node, point, atoms)
-            return value if finish is None else finish(value)
+            return precision.eval_number(node, point, prec, atoms)
 
         axis = read[0] if read else None
         if len(read) > 1 or not any(n > 1 for a, n in enumerate(self.lengths) if a != axis):
@@ -111,62 +110,32 @@ class ExactSplit:
 
         return memoized
 
-    def _combine(self, node, finish):
-        if isinstance(node, ex.Product):
-            children, unit, op = node.factors, Fraction(1), operator.mul
-        else:
-            children, unit, op = node.terms, Fraction(0), operator.add
-        exact = [child for child in children if is_exact(child)]
-        rounded = [self.split(child, None) for child in children if not is_exact(child)]
-        if not rounded:
-            parts = [self.split(child, None) for child in exact]
-
-            def value(index):
-                total = unit
-                for part in parts:
-                    total = op(total, part(index))
-                return total if finish is None else finish(total)
-
-            return value
-        exact_part = self.split(type(node)(tuple(exact)), fraction_to_mpf)
-        first, rest = rounded[0], rounded[1:]
-
-        def value(index):
-            total = first(index)
-            for part in rest:
-                total = op(total, part(index))
-            total = op(total, exact_part(index))
-            return total if finish is None else finish(total)
-
-        return value
-
 
 class SeriesEvaluator:
     """Truncated series sum(V_k(point) * t^k) of one solution at the cells
-    of a cartesian grid.
+    of a cartesian grid, as raw mpf values at ``prec`` bits.
 
     ``axes`` is a sequence of (variables, values), as in ``cells``, and
     ``fixed`` binds every other variable; ``at(index)`` is the series at the
-    cell whose coordinate on axis a is values[index[a]], and must be called
-    at the working precision.  V_k depends only on the spatial point (the
-    cell minus t), and t^k only on t, so each is computed once per distinct
-    value:
+    cell whose coordinate on axis a is values[index[a]].  V_k depends only
+    on the spatial point (the cell minus t), and t^k only on t, so each is
+    computed once per distinct value:
 
     - per spatial point, the spectra that ``eval_number`` returns exactly
       (the atom-free ones) as integer numerators over one common
       denominator L, and the others as raw mpf values;
     - per t = p/q, the integer weights p^k * q^(n-k) and q^n, where n is the
-      highest exact k, and the powers t^k of the rounded spectra as raw mpf
-      values, converted as ``fraction_to_mpf`` converts them.
+      highest exact k, and the powers t^k of the rounded spectra, converted
+      by ``precision.to_raw``.
 
     A cell's exact part is then one integer dot product over L * q^n: the
-    normalized Fraction sum(V_k * t^k), converted as ``fraction_to_mpf``
-    does.  Its rounded terms are summed in increasing k, and the two parts
-    added and rounded once, with the libmp calls that mpf arithmetic makes,
-    at the current precision and rounding.  So every result is bit-identical
-    to evaluating its point alone (``tests/oracles.py::lone_series_value``).
-    Atom values are memoized per (kind, argument, precision) in ``atoms``,
-    which the caller shares with the exact solution.
+    Fraction sum(V_k * t^k), converted by ``to_raw``.  Its rounded terms are
+    summed in increasing k, and the two parts added and rounded once, with
+    the libmp calls that mpf arithmetic makes, rounded to nearest at
+    ``prec``.  So every result is bit-identical to evaluating its point
+    alone (``tests/oracles.py::lone_series_value``).  Atom values are
+    memoized per (kind, argument, prec) in ``atoms``, which the caller
+    shares with the exact solution.
 
     Spectrum values are kept only when an axis of t alone varies, so that
     it revisits every spatial point, and t values only when an axis without
@@ -175,9 +144,10 @@ class SeriesEvaluator:
     grid, one figure or one ``analysis.evaluate_series`` call.
     """
 
-    def __init__(self, sol: SeriesSolution, axes=(), fixed=()):
+    def __init__(self, sol: SeriesSolution, axes, fixed, prec: int):
         fixed = dict(fixed)
         self.spectra = sol.spectra
+        self.prec = prec
         self.atoms = {}
         self._terms = {}
         self._powers = {}
@@ -203,24 +173,13 @@ class SeriesEvaluator:
     def at(self, index):
         numerators, denominator, rounded = self._terms_at(index)
         weights, scale, powers = self._powers_at(index)
-        libmp = mpmath.libmp
-        mpf_add, mpf_mul, from_int = libmp.mpf_add, libmp.mpf_mul, libmp.from_int
-        prec, rounding = mpmath.mp._prec_rounding
-        rounded_part = exact_part = libmp.fzero
+        libmp, prec = mpmath.libmp, self.prec
+        mpf_add, mpf_mul = libmp.mpf_add, libmp.mpf_mul
+        rounded_part = libmp.fzero
         for value, power in zip(rounded, powers):
-            rounded_part = mpf_add(rounded_part, mpf_mul(value, power, prec, rounding), prec, rounding)
-        numerator = sum(map(operator.mul, numerators, weights))
-        if numerator:
-            denominator *= scale
-            divisor = math.gcd(numerator, denominator)
-            exact_part = libmp.mpf_div(
-                from_int(numerator // divisor, prec, rounding),
-                from_int(denominator // divisor, prec, rounding),
-                prec,
-                rounding,
-            )
-        total = mpf_add(rounded_part, exact_part, prec, rounding)
-        return mpmath.mp.make_mpf(libmp.mpf_pos(total, prec, rounding))
+            rounded_part = mpf_add(rounded_part, mpf_mul(value, power, prec, "n"), prec, "n")
+        exact_part = Fraction(sum(map(operator.mul, numerators, weights)), denominator * scale)
+        return mpf_add(rounded_part, to_raw(exact_part, prec), prec, "n")
 
     def _terms_at(self, index):
         """(exact V_k numerators, their common denominator L, rounded V_k
@@ -232,11 +191,11 @@ class SeriesEvaluator:
             for a in self._spatial_axes:
                 names, values = self._axes[a]
                 point.update((name, values[index[a]]) for name in names if name != TIME_VAR)
-            values = [precision.eval_number(v, point, self.atoms) for v in self.spectra]
+            values = [precision.eval_number(v, point, self.prec, self.atoms) for v in self.spectra]
             exact = [values[k] for k in self._exact]
             denominator = math.lcm(*(value.denominator for value in exact))
             numerators = [value.numerator * (denominator // value.denominator) for value in exact]
-            terms = (numerators, denominator, [values[k]._mpf_ for k in self._rounded])
+            terms = (numerators, denominator, [values[k] for k in self._rounded])
             if self._keep_terms:
                 self._terms[key] = terms
         return terms
@@ -249,13 +208,7 @@ class SeriesEvaluator:
         if powers is None:
             t = self._t if key is None else self._axes[self._t_axis][1][key]
             p, q, n = t.numerator, t.denominator, self._top
-            libmp = mpmath.libmp
-            mpf_div, from_int = libmp.mpf_div, libmp.from_int
-            prec, rounding = mpmath.mp._prec_rounding
-            rounded = [
-                mpf_div(from_int(p**k, prec, rounding), from_int(q**k, prec, rounding), prec, rounding)
-                for k in self._rounded
-            ]
+            rounded = [to_raw(t**k, self.prec) for k in self._rounded]
             powers = ([p**k * q ** (n - k) for k in self._exact], q**n, rounded)
             if self._keep_powers:
                 self._powers[key] = powers

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 
 from rdtm import expr as ex
-from rdtm.precision import PrecisionContext, eval_number, fraction_to_mpf
+from rdtm.precision import PrecisionContext, eval_number
 
 
 def exp_oracle(x: Fraction, digits: int = 60) -> Fraction:
@@ -168,9 +168,15 @@ def lone_series_value(sol, point, ctx=PrecisionContext()):
         exact_part = Fraction(0)
         rounded_part = mpmath.mpf(0)
         for k, v in enumerate(sol.spectra):
-            value = eval_number(v, bindings)
+            value = eval_number(v, bindings, mpmath.mp.prec)
             if isinstance(value, Fraction):
                 exact_part += value * t**k
             else:
-                rounded_part += value * fraction_to_mpf(t**k)
-        return +(rounded_part + fraction_to_mpf(exact_part))
+                rounded_part += mpmath.mp.make_mpf(value) * _mpf(t**k)
+        return +(rounded_part + _mpf(exact_part))
+
+
+def _mpf(value: Fraction):
+    """mpf(numerator) / mpf(denominator) at the current precision, by
+    mpmath's own operations rather than rdtm's conversion."""
+    return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)

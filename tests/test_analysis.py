@@ -84,6 +84,15 @@ class TestEvaluateSeries:
         with pytest.raises(TypeError):
             evaluate_series(sol, {"x": 1, "t": 0.1}, CTX)
 
+    def test_unknown_variables_are_refused(self, solved):
+        """A variable the problem does not have is refused, as the figure
+        and table paths refuse it, rather than silently ignored."""
+        _, sol = solved(ModelId.EX1, 8)
+        with pytest.raises(GridError, match=r"unknown variables \['z'\]"):
+            evaluate_series(sol, {"t": F(1, 2), "x": 1, "y": 1, "z": 5}, CTX)
+        with pytest.raises(UnboundVariableError):
+            evaluate_series(sol, {"t": F(1, 2), "x": 1}, CTX)
+
     def test_spectra_are_evaluated_as_given(self, monkeypatch, solved):
         """Spectra are kernel results and already canonical, so evaluating
         the series must not simplify them again in every cell."""
@@ -143,16 +152,17 @@ class TestErrorGrid:
         atom_calls = []
         original = rdtm.precision.eval_number
 
-        def counting(e, point, atoms=None):
+        def counting(e, point, prec, atoms=None):
             evaluations[0] += id(e) in spectra
-            return original(e, point, atoms)
+            return original(e, point, prec, atoms)
 
         def recording(kind, fn):
-            return lambda argument: atom_calls.append((kind, argument)) or fn(argument)
+            return lambda argument, *args: atom_calls.append((kind, argument, *args)) or fn(argument, *args)
 
         monkeypatch.setattr(rdtm.precision, "eval_number", counting)
-        for kind, fn in list(rdtm.precision._ATOM_FUNCTIONS.items()):
-            monkeypatch.setitem(rdtm.precision._ATOM_FUNCTIONS, kind, recording(kind, fn))
+        for kind in ("exp", "sin", "cos"):
+            name = "mpf_" + kind
+            monkeypatch.setattr(mpmath.libmp, name, recording(kind, getattr(mpmath.libmp, name)))
         tenths = [F(i, 10) for i in range(1, 11)]
         grid = Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y"))
         sweeps = [("x", F(1, 10), 1, F(1, 10)), ("t", F(1, 10), 1, F(1, 10))]
@@ -187,11 +197,11 @@ class TestErrorGrid:
                 subtree_ids.update((id(node), targets[node]) for node in subtrees(result) if node in targets)
             return result
 
-        def counting(e, point, atoms):
+        def counting(e, *args):
             label = subtree_ids.get(id(e))
             if label is not None:
                 counts[label] = counts.get(label, 0) + 1
-            return eval_original(e, point, atoms)
+            return eval_original(e, *args)
 
         monkeypatch.setattr(rdtm.expr, "simplify", capturing)
         monkeypatch.setattr(rdtm.precision, "_eval", counting)
@@ -398,13 +408,38 @@ class TestSeparableEvaluation:
     def test_spectra_mixing_exact_and_rounded_values(self):
         spec = parse_spec_file(MIXED_PDE)
         sol = solve_series(spec, 8)
-        with mpmath.workdps(CTX.working_dps):
-            kinds = {type(eval_number(v, {"x": F(1, 3)})) for v in sol.spectra}
-        assert kinds == {F, mpmath.mpf}
+        kinds = {type(eval_number(v, {"x": F(1, 3)}, CTX.prec)) for v in sol.spectra}
+        assert kinds == {F, tuple}  # exact Fractions and raw mpf values
         grid = Grid2D(GridAxis("t", rational_range(F(1, 10), 1, F(1, 10))), GridAxis("x", rational_range(-1, 1, F(1, 4))))
         assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
         sweeps = [("t", 0, 1, F(1, 5)), ("x", -1, 1, F(1, 3))]
         assert_figure_is_bit_identical(sol, spec.exact, {}, sweeps, CTX)
+
+    def test_cell_path_reads_no_ambient_state(self, monkeypatch, solved):
+        """The precision is an argument of every evaluation: with mpmath's
+        global context at 2 digits and ``workdps`` unusable, tables,
+        figures, series values and exact values are unchanged."""
+        spec, sol = solved(ModelId.EX1, 8)
+        exact = simplify(spec.exact)
+        point = {"t": F(7, 10), "x": F(1, 3), "y": F(1, 2)}
+        sweeps = [("x", F(1, 10), 1, F(1, 10)), ("t", F(1, 10), 1, F(1, 5))]
+
+        def run():
+            return (
+                absolute_error_grid(sol, spec.exact, default_grid(ModelId.EX1), CTX),
+                export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX),
+                evaluate_series(sol, point, CTX),
+                eval_canonical(exact, point, CTX),
+            )
+
+        want = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evaluation entered mpmath.workdps")
+
+        monkeypatch.setattr(mpmath, "workdps", refuse)
+        monkeypatch.setattr(mpmath.mp, "dps", 2)
+        assert run() == want
 
     def test_same_grid_at_two_precisions(self, solved):
         """Atom values at one precision must not serve another: run at 50

@@ -54,7 +54,7 @@ def test_cos_value_against_series_oracle():
 
 def test_polynomial_subtrees_stay_exact():
     e = parse_expr("1/3*x^2*y - 7/5", ["x", "y"])
-    value = eval_number(e, {"x": F(3, 2), "y": F(4)})
+    value = eval_number(e, {"x": F(3, 2), "y": F(4)}, mpmath.mp.prec)
     assert isinstance(value, F)
     assert value == F(1, 3) * F(9, 4) * 4 - F(7, 5)
 
@@ -86,7 +86,7 @@ def test_numeral_strings_rejected(value):
     with pytest.raises(TypeError, match="is a str, not an exact rational"):
         eval_precise(Var("x"), {"x": value}, CTX50)
     with pytest.raises(TypeError, match="is a str, not an exact rational"):
-        eval_number(Var("x"), {"x": value})
+        eval_number(Var("x"), {"x": value}, mpmath.mp.prec)
 
 
 def test_precision_context_validation():

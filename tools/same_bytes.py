@@ -1,0 +1,87 @@
+"""Check that rdtm prints the same bytes as another revision.
+
+    python3 tools/same_bytes.py [REV]
+
+Extracts REV (default HEAD) with `git archive` into a temporary directory,
+runs a fixed list of `rdtm` commands once in that checkout and once in the
+working tree (each with its own `src` on PYTHONPATH and its own root as the
+working directory), and compares stdout, stderr and exit status.  Prints
+one line per command that differs and exits 1 if any does, 0 otherwise.
+
+The list is every benchmark workload's commands at seed 11, read from the
+working tree's `perfbench/workloads.py`; `demo`; the default figure of ex1,
+ex2 and ex3; `solve` in the latex, csv and json formats; the ex1 order-30
+cell at x = y = 10 (where the error is below one ulp of the values) as a
+table and as a figure at 50 and 200 digits; and a few precision edge cases.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 11
+
+# ex1 at order 30 and x = y = 10, where the error is below one ulp of the
+# values (ROADMAP item 2).
+BELOW_ULP_TABLE = ("table", "ex1", "--order", "30", "--grid", "t=1/10:1/10:1;x,y=10:10:1", "--format", "csv")
+BELOW_ULP_FIGURE = ("figure", "ex1", "--order", "30", "--slice", "y=10", "--sweep", "x=10:10:1", "--sweep", "t=1/10:1/10:1")
+
+EXTRA_COMMANDS = [
+    ("demo",),
+    ("figure", "ex1"),
+    ("figure", "ex2"),
+    ("figure", "ex3"),
+    ("solve", "ex1", "--format", "latex"),
+    ("solve", "ex2", "--order", "8", "--format", "csv"),
+    ("solve", "ex3", "--format", "json"),
+    BELOW_ULP_TABLE,
+    BELOW_ULP_TABLE + ("--precision", "200"),
+    BELOW_ULP_FIGURE,
+    BELOW_ULP_FIGURE + ("--precision", "200"),
+    ("table", "ex3", "--precision", "30"),
+    ("table", "ex2", "--precision", "1000"),
+    ("figure", "ex1", "--order", "6", "--format", "json"),
+]
+
+
+def command_list() -> list:
+    """Every command to compare, as argv tuples after `rdtm`."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    commands = [c.argv for name in workloads.WORKLOAD_NAMES for c in workloads.commands(name, SEED)]
+    return commands + EXTRA_COMMANDS
+
+
+def run(tree: Path, argv) -> tuple:
+    """(stdout, stderr, exit status) of `rdtm argv` run from ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "rdtm.cli", *argv], cwd=tree, env=env, capture_output=True)
+    return done.stdout, done.stderr, done.returncode
+
+
+def main() -> int:
+    rev = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    commands = command_list()
+    differing = []
+    with tempfile.TemporaryDirectory(prefix="rdtm-same-bytes-") as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        for command in commands:
+            theirs, ours = run(Path(tmp), command), run(ROOT, command)
+            if theirs != ours:
+                parts = [name for name, a, b in zip(("stdout", "stderr", "status"), theirs, ours) if a != b]
+                differing.append(command)
+                print(f"differs ({', '.join(parts)}): rdtm {shlex.join(command)}")
+    print(f"same_bytes: {len(commands) - len(differing)} of {len(commands)} commands identical to {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
