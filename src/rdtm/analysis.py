@@ -4,13 +4,17 @@ Grid coordinates are exact rationals (3/10, never a binary float 0.3), so the
 only rounding in a reported error is the final transcendental evaluation at
 the working precision.  Cells are independent pure computations; assembling
 them in any order gives the same table.
+
+Errors are computed, tested against the precision floor and rendered on raw
+``libmp`` values, so a command that prints them never imports the
+``mpmath`` package; ``ErrorTable`` and ``FigureData`` keep those raw values
+and give them to library callers as ``mpf``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from decimal import Context as DecimalContext
 from fractions import Fraction
 
 from . import expr as ex
@@ -18,7 +22,7 @@ from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError
 from .packed import Packing, Poly
 from .parsing import MAX_GRID_POINTS, TIME_VAR
-from .precision import PrecisionContext, mpmath
+from .precision import PrecisionContext, load_libmp, mpmath
 from .record import Record
 
 __all__ = [
@@ -38,7 +42,9 @@ __all__ = [
 ]
 
 MAX_SIG_DIGITS = 6
-REPORT_PREC = 53  # bits of errors and printed values, whatever mpmath.mp is set to: its default
+# Errors are formed, and every printed value rounded, to nearest at this many
+# bits (mpmath's default precision), whatever the working precision.
+REPORT_PREC = 53
 
 
 def rational_range(start, stop, step) -> tuple:
@@ -154,28 +160,62 @@ class Grid2D(Record):
 
 
 class ErrorTable(Record):
-    __slots__ = ("grid", "values", "truncation_order", "precision")
+    """|series - exact| on a grid.  ``values`` are rows matching the grid,
+    each value an mpf, a raw ``libmp`` value or a number; the
+    table keeps them raw in ``raw_values`` (rounded to REPORT_PREC bits
+    when computed), and ``values`` gives them back as mpf."""
+
+    __slots__ = ("grid", "raw_values", "truncation_order", "precision")
 
     def __init__(self, grid: Grid2D, values: tuple, truncation_order: int, precision: int):
-        # values: rows of mpf, matching the grid
-        self._assign(grid=grid, values=values, truncation_order=truncation_order, precision=precision)
+        raw_values = tuple(tuple(map(_raw, row)) for row in values)
+        self._assign(grid=grid, raw_values=raw_values, truncation_order=truncation_order, precision=precision)
+
+    @property
+    def values(self) -> tuple:
+        make_mpf = mpmath.mp.make_mpf
+        return tuple(tuple(map(make_mpf, row)) for row in self.raw_values)
 
 
 class FigureData(Record):
     """Columnar sweep data: sweep coordinates, series value, exact value,
-    absolute error; ready for external plotting."""
+    absolute error; ready for external plotting.  A row's coordinates are
+    Fractions and its other values are kept raw in ``raw_rows``, as in
+    ``ErrorTable``; ``rows`` gives those as mpf."""
 
-    __slots__ = ("columns", "rows")
+    __slots__ = ("columns", "raw_rows")
 
     def __init__(self, columns: tuple, rows: tuple):
-        self._assign(columns=columns, rows=rows)
+        raw_rows = tuple(tuple(v if isinstance(v, Fraction) else _raw(v) for v in row) for row in rows)
+        self._assign(columns=columns, raw_rows=raw_rows)
+
+    @property
+    def rows(self) -> tuple:
+        make_mpf = mpmath.mp.make_mpf
+        return tuple(tuple(v if isinstance(v, Fraction) else make_mpf(v) for v in row) for row in self.raw_rows)
 
     def to_csv(self, sig_digits: int = 6) -> str:
         lines = [_csv_line(self.columns)]
-        for row in self.rows:
+        for row in self.raw_rows:
             cells = [fraction_str(v) if isinstance(v, Fraction) else format_scientific(v, sig_digits) for v in row]
             lines.append(_csv_line(cells))
         return "\n".join(lines) + "\n"
+
+
+def _raw(value):
+    """A value of a public result as a raw ``libmp`` value: a raw value as
+    it is, an mpf's own, an int, a Fraction or a float rounded to nearest at
+    REPORT_PREC bits."""
+    if isinstance(value, tuple):
+        return value
+    raw = getattr(value, "_mpf_", None)
+    if raw is not None:
+        return raw
+    libmp = load_libmp()
+    if isinstance(value, float):
+        return libmp.from_float(value, REPORT_PREC, "n")
+    value = ex.as_fraction(value)
+    return libmp.from_rational(value.numerator, value.denominator, REPORT_PREC, "n")
 
 
 def evaluate_series(sol: SeriesSolution, point, ctx: PrecisionContext = PrecisionContext()):
@@ -207,13 +247,13 @@ def absolute_error_grid(
     check_bindings(sol.spec.spatial_vars, (grid.row.name, *grid.col_vars))
     from . import separable
 
-    libmp = mpmath.libmp
-    floor = mpmath.mp.make_mpf(libmp.mpf_pow_int(libmp.from_int(10), 4 - ctx.decimal_digits, REPORT_PREC, "n"))
+    libmp = load_libmp()
+    floor = libmp.mpf_pow_int(libmp.from_int(10), 4 - ctx.decimal_digits, REPORT_PREC, "n")
     axes = [((grid.row.name,), grid.row.values), (grid.col_vars, grid.col.values)]
     errors = []
     for (tv, cv), series_value, exact_value in separable.cells(sol, exact, axes, {}, ctx):
         err = _abs_error(series_value, exact_value)
-        if 0 < err < floor:
+        if err != libmp.fzero and libmp.mpf_lt(err, floor):
             raise PrecisionInsufficientError(
                 f"cell ({fraction_str(tv)}, {fraction_str(cv)}): error is below "
                 f"the certifiable floor 1e-{ctx.decimal_digits - 4}; "
@@ -226,9 +266,9 @@ def absolute_error_grid(
 
 
 def _abs_error(series_value, exact_value):
-    """|series - exact| of two raw values, rounded to REPORT_PREC bits, as an mpf."""
-    difference = mpmath.libmp.mpf_sub(series_value, exact_value, REPORT_PREC, "n")
-    return mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(difference))
+    """|series - exact| of two raw values, rounded to REPORT_PREC bits, raw."""
+    libmp = load_libmp()
+    return libmp.mpf_abs(libmp.mpf_sub(series_value, exact_value, REPORT_PREC, "n"))
 
 
 def residual_order_check(spec, sol: SeriesSolution) -> int:
@@ -335,6 +375,9 @@ def taylor_coefficient(e, k: int) -> ex.Expr:
 # ---------------------------------------------------------------------------
 # Rendering
 
+# Digits beyond sig_digits that format_scientific's first rounding keeps.
+_NSTR_EXTRA_DIGITS = 8
+
 
 def fraction_str(value: Fraction) -> str:
     """Exact decimal string when the denominator divides a power of ten
@@ -361,17 +404,35 @@ def fraction_str(value: Fraction) -> str:
 
 def format_scientific(value, sig_digits: int = 5) -> str:
     """Normalized scientific notation, mantissa in [1, 10): '1.95343E-20'.
-    Zero renders as '0'."""
+    Zero renders as '0'; an infinity or a nan is a ValueError.
+
+    The value (an mpf, a raw ``libmp`` value or a number) is rounded to
+    nearest at REPORT_PREC bits, and its decimal digits, truncated by one
+    ``libmp.to_digits_exp``, are rounded twice as integers: to
+    sig_digits + 8 digits on the first digit dropped, as ``mpmath.nstr``
+    rounds, then to sig_digits, half to even.
+    """
     if not 1 <= sig_digits <= MAX_SIG_DIGITS:
         raise ValueError(f"significant digits must be between 1 and {MAX_SIG_DIGITS}")
-    if value == 0:
-        return "0"
-    raw = mpmath.nstr(mpmath.mpf(value, prec=REPORT_PREC, rounding="n"), sig_digits + 8, strip_zeros=False)
-    d = DecimalContext(prec=sig_digits).create_decimal(raw)
-    mantissa, _, exponent = f"{d:E}".partition("E")
-    sign = exponent[0]
-    magnitude = exponent[1:].lstrip("0") or "0"
-    return f"{mantissa}E{sign}{magnitude}"
+    libmp = load_libmp()
+    raw = libmp.mpf_pos(_raw(value), REPORT_PREC, "n")
+    if not raw[1]:
+        if raw == libmp.fzero:
+            return "0"
+        raise ValueError(f"{libmp.to_str(raw, 1)} has no scientific notation")
+    kept = sig_digits + _NSTR_EXTRA_DIGITS
+    sign, digits, exponent = libmp.to_digits_exp(raw, kept + 3)
+    mantissa = int(digits[:kept]) + (digits[kept:kept + 1] >= "5")
+    mantissa, rest = divmod(mantissa, 10**_NSTR_EXTRA_DIGITS)
+    half = 5 * 10 ** (_NSTR_EXTRA_DIGITS - 1)
+    if rest > half or rest == half and mantissa % 2:
+        mantissa += 1
+    if mantissa == 10**sig_digits:
+        mantissa //= 10
+        exponent += 1
+    digits = str(mantissa)
+    point = "." if sig_digits > 1 else ""
+    return f"{sign}{digits[0]}{point}{digits[1:]}E{exponent:+d}"
 
 
 def _csv_line(cells) -> str:
@@ -390,7 +451,7 @@ def render_table(tbl: ErrorTable, style: str = "plain", sig_digits: int = 5) -> 
     header = [tbl.grid.corner_label] + [fraction_str(v) for v in tbl.grid.col.values]
     body = [
         [fraction_str(tv)] + [format_scientific(v, sig_digits) for v in row]
-        for tv, row in zip(tbl.grid.row.values, tbl.values)
+        for tv, row in zip(tbl.grid.row.values, tbl.raw_values)
     ]
     if style == "csv":
         return "\n".join(_csv_line(r) for r in [header] + body) + "\n"
@@ -445,9 +506,8 @@ def export_figure_data(
     from . import separable
 
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
-    make_mpf = mpmath.mp.make_mpf
     rows = tuple(
-        (*coords, make_mpf(series_value), make_mpf(exact_value), _abs_error(series_value, exact_value))
+        (*coords, series_value, exact_value, _abs_error(series_value, exact_value))
         for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
     )
     return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)

@@ -16,6 +16,7 @@ deterministic: identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from .models import (
     builtin_model,
 )
 from .parsing import parse_assignments
-from .precision import MAX_DECIMAL_DIGITS, MIN_DECIMAL_DIGITS, PrecisionContext
+from .precision import MAX_DECIMAL_DIGITS, MIN_DECIMAL_DIGITS, PrecisionContext, load_libmp
 from .specfile import parse_spec_file
 
 DEFAULT_SOLVE_ORDER = 10
@@ -161,7 +162,7 @@ def _cmd_table(args) -> int:
             "row_axis": {"name": grid.row.name, "values": [fraction_str(v) for v in grid.row.values]},
             "col_axis": {"name": grid.col.name, "values": [fraction_str(v) for v in grid.col.values]},
             "tie": list(grid.col_vars),
-            "values": [[format_scientific(v, args.sig_digits) for v in row] for row in table.values],
+            "values": [[format_scientific(v, args.sig_digits) for v in row] for row in table.raw_values],
         }
         _emit_json(payload, args.out)
         return 0
@@ -205,7 +206,7 @@ def _cmd_figure(args) -> int:
                     fraction_str(v) if isinstance(v, Fraction) else format_scientific(v, args.sig_digits)
                     for v in row
                 ]
-                for row in data.rows
+                for row in data.raw_rows
             ],
         }
         _emit_json(payload, args.out)
@@ -275,7 +276,7 @@ def _cmd_demo(args) -> int:
         out_lines.extend("   " + line for line in check_lines)
         grid = _table_grid(None, spec, model)
         table = absolute_error_grid(sol, spec.exact, grid, ctx)
-        worst = max(v for row in table.values for v in row)
+        worst = max((v for row in table.raw_values for v in row), key=functools.cmp_to_key(load_libmp().mpf_cmp))
         out_lines.append(
             f"   max |series - exact| on the {len(grid.row.values)}x{len(grid.col.values)} "
             f"reference grid: {format_scientific(worst, 5)}"

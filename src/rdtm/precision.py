@@ -15,14 +15,18 @@ the cell kernel ``separable`` as well.  Results are deterministic for fixed
 inputs and precision, so a caller that evaluates many points may pass one
 atom memo to every call and get the same bits.
 
-This is the one module that binds ``mpmath``, and it loads it lazily: the
-import runs at the first attribute access, so commands that never evaluate
-a number (``solve``, ``check``) do not pay for it.  ``analysis`` takes
-``mpmath`` from here.
+This module owns mpmath.  Every evaluation runs on ``libmp``, mpmath's
+raw-value arithmetic, which ``load_libmp`` loads at the first call without
+running the ``mpmath`` package: so ``table``, ``figure`` and ``demo`` never
+import the package, and ``solve`` and ``check``, which evaluate nothing,
+load neither.  ``mpmath`` itself is bound lazily and imported only when a
+public result is made an ``mpf``.  ``separable`` and ``analysis`` take both
+from here.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import operator
 import sys
@@ -52,21 +56,52 @@ MIN_DECIMAL_DIGITS = 15
 MAX_DECIMAL_DIGITS = 10000
 
 
-def _lazy_module(name):
-    """The module ``name``, imported at its first attribute access; the
-    module itself when it is already imported."""
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        if spec is None:
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
+def _lazy_mpmath():
+    """(mpmath, the directories of its submodules): the module imported at
+    its first attribute access, and its spec's submodule_search_locations,
+    kept because any read of the lazy module, ``__spec__`` included, runs
+    the whole import; (the module, None) when it is already imported."""
+    module = sys.modules.get("mpmath")
+    if module is not None:
+        return module, None
+    spec = importlib.util.find_spec("mpmath")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules["mpmath"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, spec.submodule_search_locations
 
 
-mpmath = _lazy_module("mpmath")
+mpmath, _MPMATH_PATH = _lazy_mpmath()
+
+
+@functools.cache
+def load_libmp():
+    """mpmath's ``libmp``, loaded by itself at the first call.
+
+    It is registered as ``sys.modules["mpmath.libmp"]`` and set as the
+    ``libmp`` attribute of the lazy ``mpmath``, which keeps attributes set
+    before its load: a later ``import mpmath`` uses this module and makes no
+    second copy.  When mpmath was imported before rdtm, its own libmp
+    serves.  Reading ``mpmath.libmp`` instead would import the package.
+    """
+    libmp = sys.modules.get("mpmath.libmp")
+    if libmp is not None:
+        return libmp
+    if _MPMATH_PATH is None:
+        return importlib.import_module("mpmath.libmp")
+    import importlib.machinery  # only this load needs it
+
+    spec = importlib.machinery.PathFinder.find_spec("mpmath.libmp", _MPMATH_PATH)
+    libmp = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(libmp)
+    except BaseException:
+        del sys.modules[spec.name]
+        raise
+    mpmath.libmp = libmp
+    return libmp
 
 
 class PrecisionContext(Record):
@@ -96,7 +131,7 @@ class PrecisionContext(Record):
     @property
     def prec(self) -> int:
         """The working precision in bits, as ``mpmath.workdps(working_dps)`` sets it."""
-        return mpmath.libmp.dps_to_prec(self.working_dps)
+        return load_libmp().dps_to_prec(self.working_dps)
 
 
 def to_raw(value, prec: int):
@@ -105,7 +140,7 @@ def to_raw(value, prec: int):
     ``mpf(numerator) / mpf(denominator)`` does; a raw value as it is."""
     if not isinstance(value, Fraction):
         return value
-    libmp = mpmath.libmp
+    libmp = load_libmp()
     numerator = libmp.from_int(value.numerator, prec, "n")
     return libmp.mpf_div(numerator, libmp.from_int(value.denominator, prec, "n"), prec, "n")
 
@@ -151,14 +186,14 @@ def _eval(e, point, prec, atoms):
         key = (e.kind, argument, prec)
         value = atoms.get(key)
         if value is None:
-            function = getattr(mpmath.libmp, "mpf_" + e.kind)
+            function = getattr(load_libmp(), "mpf_" + e.kind)
             value = atoms[key] = function(to_raw(argument, prec), prec, "n")
         return value
     if isinstance(e, ex.Power):
         base = _eval(e.base, point, prec, atoms)
         if isinstance(base, Fraction):
             return base**e.exponent
-        return mpmath.libmp.mpf_pow_int(base, e.exponent, prec, "n")
+        return load_libmp().mpf_pow_int(base, e.exponent, prec, "n")
     if isinstance(e, ex.Product):
         return combine(e, [_eval(f, point, prec, atoms) for f in e.factors], prec)
     if isinstance(e, ex.Sum):
@@ -173,10 +208,11 @@ def combine(node, parts, prec: int):
     ``parts``, in order: the Fractions multiply (or add) exactly into one,
     the raw values fold in order at ``prec``, and the fold, if any, then
     takes the exact part converted by ``to_raw``."""
+    libmp = load_libmp()
     if isinstance(node, ex.Product):
-        exact, exact_op, rounded_op = Fraction(1), operator.mul, mpmath.libmp.mpf_mul
+        exact, exact_op, rounded_op = Fraction(1), operator.mul, libmp.mpf_mul
     else:
-        exact, exact_op, rounded_op = Fraction(0), operator.add, mpmath.libmp.mpf_add
+        exact, exact_op, rounded_op = Fraction(0), operator.add, libmp.mpf_add
     rounded = None
     for part in parts:
         if isinstance(part, Fraction):

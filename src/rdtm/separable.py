@@ -6,7 +6,8 @@ spectrum once per spatial point and each power of t once per t, and
 ``ExactSplit`` evaluates each subtree of the exact solution once per value
 of the one axis it reads.  Every value is bit-identical to evaluating its
 point alone.  The kernel works on raw ``libmp`` values at the one precision
-in bits that its caller passes, and never touches mpmath's global context.
+in bits that its caller passes, with the ``libmp`` that
+``precision.load_libmp`` loads, and never touches mpmath's global context.
 
 Only ``table``, ``figure`` and ``demo`` evaluate cells, so ``analysis``
 imports this module at the first evaluation, and the other commands do
@@ -27,9 +28,11 @@ from . import precision
 from .engine import SeriesSolution
 from .errors import UnboundVariableError
 from .parsing import TIME_VAR
-from .precision import PrecisionContext, is_exact, mpmath, to_raw
+from .precision import PrecisionContext, is_exact, load_libmp, to_raw
 
 __all__ = ["SeriesEvaluator", "ExactSplit", "cells"]
+
+libmp = load_libmp()
 
 
 def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContext):
@@ -173,7 +176,7 @@ class SeriesEvaluator:
     def at(self, index):
         numerators, denominator, rounded = self._terms_at(index)
         weights, scale, powers = self._powers_at(index)
-        libmp, prec = mpmath.libmp, self.prec
+        prec = self.prec
         mpf_add, mpf_mul = libmp.mpf_add, libmp.mpf_mul
         rounded_part = libmp.fzero
         for value, power in zip(rounded, powers):

@@ -5,12 +5,15 @@ rational Taylor terms instead of calling mpmath, the convolution oracle
 walks every composition with nested loops instead of folding pairwise, the
 residual oracle expands the whole residual instead of truncating it, the
 series oracle multiplies out and merges every V_k * t^k instead of sorting
-distinct terms once, and the per-point series oracle evaluates every
-spectrum afresh at every point.
+distinct terms once, the per-point series oracle evaluates every
+spectrum afresh at every point, and the rendering oracle prints through
+``mpmath.nstr`` and ``decimal`` instead of rounding a digit string as an
+integer.
 """
 
 from __future__ import annotations
 
+from decimal import Context as DecimalContext
 from fractions import Fraction
 
 import mpmath
@@ -180,3 +183,18 @@ def _mpf(value: Fraction):
     """mpf(numerator) / mpf(denominator) at the current precision, by
     mpmath's own operations rather than rdtm's conversion."""
     return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
+
+
+def nstr_scientific(value, sig_digits: int) -> str:
+    """Reference for ``analysis.format_scientific``: the value rounded to
+    nearest at 53 bits, printed by ``mpmath.nstr`` with eight digits more
+    than asked, and that string rounded to ``sig_digits`` by ``decimal``
+    (half to even)."""
+    if value == 0:
+        return "0"
+    raw = mpmath.nstr(mpmath.mpf(value, prec=53, rounding="n"), sig_digits + 8, strip_zeros=False)
+    d = DecimalContext(prec=sig_digits).create_decimal(raw)
+    mantissa, _, exponent = f"{d:E}".partition("E")
+    sign = exponent[0]
+    magnitude = exponent[1:].lstrip("0") or "0"
+    return f"{mantissa}E{sign}{magnitude}"

@@ -1,6 +1,7 @@
 """Series evaluation, error grids, residual checks, rendering, figure data."""
 
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from oracles import (
     first_nonvanishing_degree,
     full_expansion_residual,
     lone_series_value,
+    nstr_scientific,
     sin_oracle,
     sin_partial_sum,
 )
@@ -847,6 +849,63 @@ class TestRendering:
         table = absolute_error_grid(sol, spec.exact, grid, CTX)
         with pytest.raises(ValueError):
             render_table(table, "markdown")
+
+    @pytest.mark.parametrize("value, name", [(mpmath.inf, "+inf"), (-mpmath.inf, "-inf"), (mpmath.nan, "nan")])
+    def test_infinities_and_nan_are_refused(self, value, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} has no scientific notation"):
+            format_scientific(value, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} has no scientific notation"):
+            format_scientific(value._mpf_, 3)
+
+
+def random_render_values(rng, count):
+    """Values for ``format_scientific``, as mpf: 53-bit values with binary
+    exponents inside +-300 and beyond +-3500 (``to_digits_exp`` scales
+    those by a power of ten first), exact decimal ties at one to six
+    digits, decimal strings with runs of 9s or digits near a tie of the
+    second rounding, and values of 100 to 400 bits that are rounded to 53
+    first.  Exponents stay within the range of ``decimal``'s default
+    context, which the oracle uses."""
+    libmp = rdtm.precision.load_libmp()
+    make = mpmath.mp.make_mpf
+    values = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind in (0, 1, 5):
+            bits = 53 if kind < 5 else rng.randint(100, 400)
+            man = rng.getrandbits(bits) | 1 << (bits - 1)
+            top = rng.randint(-300, 300) if kind != 1 else rng.choice((-1, 1)) * rng.randint(3501, 100000)
+            values.append(make(libmp.normalize(0, man, top - bits, bits, bits, "n")))
+        elif kind == 2:
+            # d.dd...5 x 10^e, an integer below 2^53: a tie at the digits before the 5
+            tie = (rng.randint(1, 10 ** rng.randint(1, 6) - 1) * 10 + 5) * 10 ** rng.randint(0, 6)
+            values.append(make(libmp.from_int(tie)))
+        elif kind == 3:
+            # odd/2^j ends in 5 at its j-th decimal place
+            values.append(make(libmp.from_rational(rng.randrange(1, 10**6, 2), 2 ** rng.randint(1, 12), 53, "n")))
+        else:
+            head = rng.choice(["9" * rng.randint(1, 15), str(rng.randint(1, 10 ** rng.randint(1, 6)))])
+            tail = rng.choice(["", "9" * rng.randint(1, 16), "4" + "9" * rng.randint(6, 12), "5", "50000000001",
+                               "49999999", "9" * rng.randint(1, 8) + "5", "4" + "9" * 7 + "5", "4" + "9" * 7 + "51"])
+            text = f"{head}{tail}e{rng.randint(-40, 40)}"
+            values.append(make(libmp.from_str(text, 53, "n")))
+    return values
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_format_scientific_prints_what_nstr_and_decimal_print(seed):
+    """One ``to_digits_exp`` and integer rounding reproduce the rendering
+    oracle byte for byte, at 1 to 6 digits and for both signs."""
+    mismatches = []
+    for value in random_render_values(random.Random(seed), 1500):
+        for signed in (value, -value):
+            for sig_digits in range(1, 7):
+                want = nstr_scientific(signed, sig_digits)
+                for given in (signed, signed._mpf_):
+                    got = format_scientific(given, sig_digits)
+                    if got != want:
+                        mismatches.append((signed, sig_digits, got, want))
+    assert not mismatches, mismatches[:5]
 
 
 class TestFigureData:

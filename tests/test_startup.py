@@ -1,11 +1,12 @@
 """What a command loads: each test starts a fresh interpreter.
 
 `import rdtm.cli` must not import `dataclasses` (nor the `inspect` it pulls
-in), mpmath loads at the first numeric evaluation only, so `solve` and
-`check` never pay for it, and `json` loads only for JSON output.  These pin
-the start-up cost without a timing bound.  `mpmath` itself may sit in
-`sys.modules` as a lazy module that is not loaded yet; `mpmath.libmp`
-appears only once mpmath has really been imported.
+in), and `json` loads only for JSON output.  `solve` and `check` evaluate no
+number and load nothing of mpmath.  `table`, `figure` and `demo` load
+`mpmath.libmp` alone, never the `mpmath` package (whose `mpmath.ctx_mp`
+would then be loaded too), and a later `import mpmath` in the same process
+uses that libmp.  `mpmath` itself may sit in `sys.modules` as a lazy module
+that is not loaded yet.  These pin the start-up cost without a timing bound.
 """
 
 import ast
@@ -19,25 +20,37 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def run_python(script: str) -> str:
+    """stdout of ``script`` run by a fresh interpreter with rdtm's sources
+    on its path; the script must succeed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def quiet_main(argv) -> str:
+    """Script lines that run `rdtm.cli.main(argv)` with its output discarded."""
+    return (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert rdtm.cli.main({list(argv)!r}) == 0\n"
+    )
+
+
 def modules_after(*argv) -> set:
     """Modules that `import rdtm.cli` and, when ``argv`` is given,
     `rdtm.cli.main(argv)` add to sys.modules; the command's output is
     discarded."""
     script = (
-        "import contextlib, io, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import rdtm.cli\n"
-        f"argv = {list(argv)!r}\n"
-        "if argv:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert rdtm.cli.main(argv) == 0\n"
-        "print(sorted(set(sys.modules) - before))\n"
+        + (quiet_main(argv) if argv else "")
+        + "print(sorted(set(sys.modules) - before))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(ast.literal_eval(proc.stdout))
+    return set(ast.literal_eval(run_python(script)))
 
 
 def test_import_loads_neither_dataclasses_nor_mpmath_nor_json():
@@ -56,3 +69,43 @@ def test_a_table_loads_mpmath():
 
 def test_json_output_loads_json():
     assert "json" in modules_after("solve", "ex3", "--order", "4", "--format", "json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "ex3", "--order", "6"],
+    ["figure", "ex1", "--order", "6", "--format", "json"],
+    ["demo"],
+])
+def test_evaluating_commands_load_libmp_without_the_mpmath_package(argv):
+    loaded = modules_after(*argv)
+    assert "mpmath.libmp" in loaded
+    assert "mpmath.ctx_mp" not in loaded
+
+
+def test_mpmath_imported_after_a_table_uses_the_same_libmp():
+    script = (
+        "import sys\n"
+        "import rdtm.cli\n"
+        + quiet_main(["table", "ex3", "--order", "6"])
+        + "libmp = sys.modules['mpmath.libmp']\n"
+        "import mpmath\n"
+        "assert mpmath.libmp is libmp is sys.modules['mpmath.libmp']\n"
+        "assert mpmath.mpf(1) + 1 == 2\n"
+        "assert mpmath.nstr(mpmath.exp(1), 5) == '2.7183'\n"
+        "print('ok')\n"
+    )
+    assert run_python(script) == "ok\n"
+
+
+def test_a_table_after_import_mpmath_reuses_its_libmp():
+    script = (
+        "import sys\n"
+        "import mpmath\n"
+        "libmp = mpmath.libmp\n"
+        "before = set(sys.modules)\n"
+        "import rdtm.cli, rdtm.precision\n"
+        + quiet_main(["table", "ex3", "--order", "6"])
+        + "assert sys.modules['mpmath.libmp'] is libmp is rdtm.precision.load_libmp()\n"
+        "print(sorted(name for name in set(sys.modules) - before if name.startswith('mpmath')))\n"
+    )
+    assert run_python(script) == "[]\n"

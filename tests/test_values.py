@@ -9,8 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import mpmath
+
 from rdtm import ModelId, builtin_model, solve_series
-from rdtm.analysis import ErrorTable, FigureData, Grid2D, GridAxis
+from rdtm.analysis import ErrorTable, FigureData, Grid2D, GridAxis, absolute_error_grid, export_figure_data
 from rdtm.engine import PdeSpec, RecurrenceTerm, SeriesSolution, SpectralRecurrence
 from rdtm.errors import GridError, InvalidOrderError
 from rdtm.expr import Atom, DerivSym, Power, Product, Rational, Sum, Var, rational
@@ -113,3 +115,24 @@ def test_records_of_a_solve():
 def test_copy_and_pickle_give_an_equal_value(value):
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_tables_and_figures_give_mpf_and_rebuild_from_their_values():
+    """A computed ErrorTable or FigureData keeps raw libmp values, gives them
+    as mpf, and is equal to the record built again from those mpf values;
+    copy, pickle and repr work on it."""
+    spec = builtin_model(ModelId.EX3)
+    sol = solve_series(spec, 4)
+    axis = GridAxis("t", [F(1, 2), 1])
+    table = absolute_error_grid(sol, spec.exact, Grid2D(axis, GridAxis("x", [F(1, 3), 2])))
+    figure = export_figure_data(sol, spec.exact, {"x": F(1, 3)}, [("t", 0, 1, F(1, 2))])
+    assert {type(v) for row in table.values for v in row} == {mpmath.mpf}
+    assert {type(v) for row in figure.rows for v in row[1:]} == {mpmath.mpf}
+    assert [row[0] for row in figure.rows] == [0, F(1, 2), 1]
+    assert ErrorTable(table.grid, table.values, table.truncation_order, table.precision) == table
+    assert FigureData(figure.columns, figure.rows) == figure
+    for value in (table, figure):
+        assert copy.copy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert repr(value).startswith(f"{type(value).__name__}(")
+    assert table.values[0][0] > 0

@@ -12,7 +12,9 @@ The list is every benchmark workload's commands at seed 11, read from the
 working tree's `perfbench/workloads.py`; `demo`; the default figure of ex1,
 ex2 and ex3; `solve` in the latex, csv and json formats; the ex1 order-30
 cell at x = y = 10 (where the error is below one ulp of the values) as a
-table and as a figure at 50 and 200 digits; and a few precision edge cases.
+table and as a figure at 50 and 200 digits; a few precision edge cases; and
+tables and a figure in the json and latex formats at 1, 3 and 6 significant
+digits.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ EXTRA_COMMANDS = [
     ("table", "ex3", "--precision", "30"),
     ("table", "ex2", "--precision", "1000"),
     ("figure", "ex1", "--order", "6", "--format", "json"),
+    ("table", "ex1", "--format", "json", "--sig-digits", "3"),
+    ("table", "ex2", "--format", "latex", "--sig-digits", "1"),
+    ("figure", "ex3", "--sig-digits", "6"),
 ]
 
 
