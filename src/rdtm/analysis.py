@@ -280,23 +280,18 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
     identically zero through its whole t-degree.
 
     The series and the residual are graded, one packed polynomial per
-    nonzero t-degree (``_t_graded``): V_k sits at degree k (walked and
-    shifted by k if it contains t), and each derivative image of the series
-    is one derivative of a memoized image of one order less, d/dt taking
-    degree d to d - 1 times d.  Products keep only the degree pairs below
-    N = sol.order, so those of the right-hand side cost O(N^2) polynomial
-    products.  Only when every coefficient below t^N vanishes, and the
-    residual's t-degree D reaches N, is it formed once more with the bound
-    D + 1, so the first nonzero coefficient above t^N is still found.  The
-    return value is the same as that of a full expansion in every case.
+    nonzero t-degree (``_t_graded``): V_k sits at degree k, and each
+    derivative image of the series is one derivative of a memoized image of
+    one order less, d/dt taking degree d to d - 1 times d.  Products keep
+    only the degree pairs below N = sol.order, so those of the right-hand
+    side cost O(N^2) polynomial products.  Only when every coefficient below
+    t^N vanishes, and the residual's t-degree D reaches N, is it formed once
+    more with the bound D + 1, so the first nonzero coefficient above t^N is
+    still found.  The return value is the same as that of a full expansion in
+    every case.
     """
     packing = Packing((spec.rhs, *sol.spectra))
-    pairs = []
-    for k, v in enumerate(sol.spectra):
-        t_free = TIME_VAR not in ex.free_vars(v)
-        graded = {0: packing.from_expr(v)} if t_free else _t_graded(packing, v, math.inf, None)[0]
-        pairs += [(k + d, p) for d, p in graded.items()]
-    series = _graded_sum(packing, pairs)
+    series = {k: p for k, v in enumerate(sol.spectra) if (p := packing.from_expr(v)).groups}
     images = {(): (series, max(series, default=0))}
 
     def image(orders):

@@ -25,6 +25,7 @@ from .analysis import (
     MAX_SIG_DIGITS,
     Grid2D,
     GridAxis,
+    _csv_line,
     absolute_error_grid,
     check_bindings,
     check_sweeps,
@@ -120,13 +121,8 @@ def _cmd_solve(args) -> int:
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     sol = solve_series(spec, order)
     if args.format == "csv":
-        lines = ["k,spectrum"]
-        for k, v in enumerate(sol.spectra):
-            text = ex.to_text(v)
-            if "," in text:
-                text = '"' + text + '"'
-            lines.append(f"{k},{text}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [("k", "spectrum"), *((k, ex.to_text(v)) for k, v in enumerate(sol.spectra))]
+        _emit("\n".join(_csv_line(row) for row in rows) + "\n", args.out)
         return 0
     series = sol.to_expr()
     if args.format == "json":

@@ -9,6 +9,9 @@ derivative-order factors to be convolved.  Stepping the recurrence turns the
 left-hand side's second time derivative into the factorial factor
 (k+1)(k+2) on the next spectrum.
 
+This module owns where t may appear: in integer powers in the right-hand
+side, and nowhere else, so the packed arithmetic sees t-free trees alone.
+
 Every term is a Cauchy product of derivative images of the spectra, and the
 recurrence is an online power-series computation: step k needs only the
 newest coefficient of every product.  A solve therefore keeps one
@@ -64,7 +67,8 @@ SOURCE = None
 
 
 class PdeSpec(Record):
-    """A wave-like problem: u_tt = rhs with u(X,0) = init_u, u_t(X,0) = init_ut."""
+    """A wave-like problem: u_tt = rhs with u(X,0) = init_u, u_t(X,0) = init_ut;
+    an exp/sin/cos atom of t in rhs is refused, the first in compile order named."""
 
     __slots__ = ("name", "spatial_vars", "rhs", "init_u", "init_ut", "exact")
 
@@ -103,6 +107,19 @@ class PdeSpec(Record):
                 raise UnsupportedStructureError(f"{label} uses undeclared {sorted(bad)}")
         if self.exact is not None and ex.contains_derivsym(self.exact):
             raise UnsupportedStructureError("exact solution must not involve u")
+        for _, factors in _monomials(self.rhs):
+            for f in factors:
+                base = f.base if isinstance(f, ex.Power) else f
+                if isinstance(base, ex.Atom) and TIME_VAR in ex.free_vars(base):
+                    raise UnsupportedCoefficientError(
+                        f"coefficients may depend on t only through integer powers t^n, found {ex.to_text(f)}"
+                    )
+
+
+def _check_t_free(spectra) -> None:
+    for k, v in enumerate(spectra):
+        if TIME_VAR in ex.free_vars(v):
+            raise UnsupportedStructureError(f"spectrum V_{k} contains t; spectra are t-free")
 
 
 class RecurrenceTerm(Record):
@@ -113,13 +130,17 @@ class RecurrenceTerm(Record):
     of the spectra; zero when k - time_shift < 0.  A factor is a derivative
     order map ((var, order), ...), the empty tuple being u itself, or SOURCE
     for the synthetic constant factor of a pure source term.  The
-    coefficient is stored expanded, so every step uses it as is.
+    coefficient is stored expanded, so every step uses it as is, and must
+    not contain t, whose power is the time shift.
     """
 
     __slots__ = ("coefficient", "time_shift", "factors")
 
     def __init__(self, coefficient: ex.Expr, time_shift: int, factors: tuple):
-        self._assign(coefficient=ex.expand(coefficient), time_shift=time_shift, factors=factors)
+        coefficient = ex.expand(coefficient)
+        if TIME_VAR in ex.free_vars(coefficient):
+            raise UnsupportedCoefficientError(f"a term's coefficient contains t: {ex.to_text(coefficient)}")
+        self._assign(coefficient=coefficient, time_shift=time_shift, factors=factors)
 
 
 class SpectralRecurrence(Record):
@@ -131,8 +152,9 @@ class SpectralRecurrence(Record):
 
 class SeriesSolution(Record):
     """The spectrum sequence V_0..V_{order-1}, t-free canonical expanded
-    trees as solve_series returns them and as every consumer uses them; the
-    inverse transform is sum of spectra[k] * t**k."""
+    trees as solve_series returns them and as every consumer uses them (a
+    spectrum that contains t is refused); the inverse transform is sum of
+    spectra[k] * t**k."""
 
     __slots__ = ("spec", "spectra", "order")
 
@@ -140,6 +162,7 @@ class SeriesSolution(Record):
         spectra = tuple(spectra)
         if len(spectra) != order:
             raise InvalidOrderError(f"expected {order} spectra, got {len(spectra)}")
+        _check_t_free(spectra)
         self._assign(spec=spec, spectra=spectra, order=order)
 
     def to_expr(self) -> ex.Expr:
@@ -198,11 +221,8 @@ def compile_recurrence(spec: PdeSpec) -> SpectralRecurrence:
                 base, multiplicity = f.base, f.exponent
             else:
                 base, multiplicity = f, 1
-            if isinstance(base, ex.Var):
-                if base.name == TIME_VAR:
-                    shift += multiplicity
-                else:
-                    coeff_factors.append(f)
+            if base == ex.Var(TIME_VAR):
+                shift += multiplicity
             elif isinstance(base, ex.DerivSym):
                 for var, order in base.orders:
                     if var == TIME_VAR:
@@ -215,12 +235,7 @@ def compile_recurrence(spec: PdeSpec) -> SpectralRecurrence:
                             f"derivative along undeclared variable {var!r}"
                         )
                 deriv_factors.extend([base.orders] * multiplicity)
-            else:  # Atom (canonical monomial factors cannot be sums here)
-                if TIME_VAR in ex.free_vars(base):
-                    raise UnsupportedCoefficientError(
-                        "coefficients may depend on t only through integer "
-                        f"powers t^n, found {ex.to_text(f)}"
-                    )
+            else:  # a spatial variable or a t-free atom, which PdeSpec ensures
                 coeff_factors.append(f)
         coefficient = ex.Product((ex.Rational(coeff), *coeff_factors))
         deriv_factors.sort()
@@ -275,12 +290,14 @@ class RecurrenceState:
     Images, products, term coefficients and ``packed`` (the spectra) are
     primitive ``Poly`` values of one ``Packing``, fixed from the initial
     spectra and the coefficients; ``spectra`` holds the same spectra as
-    canonical expanded trees, each new one converted once.
+    canonical expanded trees, each new one converted once.  A spectrum that
+    contains t is refused.
     """
 
     def __init__(self, rec: SpectralRecurrence, spectra):
         self.rec = rec
         self.spectra = list(spectra)
+        _check_t_free(self.spectra)
         self.packing = Packing((*self.spectra, *(term.coefficient for term in rec.terms)))
         self.packed = [self.packing.from_expr(v) for v in self.spectra]
         self.coefficients = {term: self.packing.from_expr(term.coefficient) for term in rec.terms}

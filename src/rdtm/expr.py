@@ -25,14 +25,14 @@ input.
 
 The recurrence and the residual check do not multiply trees: they work on
 packed sparse polynomials (``rdtm.packed``, integer numerators over one
-denominator), which read canonical trees and build their results back with
-``monomial`` and ``distinct_sum``.  Where the terms of a sum are already
-canonical and their monomials pairwise distinct, as in a packed polynomial
-or in the series ``engine.SeriesSolution.to_expr`` forms with
-``times_new_factor``, ``distinct_sum`` sorts them once and merges nothing;
-``add_expanded`` is for sums that may merge.  Trees are the form of the
-parser, the printers, the evaluator and the reference fold
-``engine.cauchy_product``.
+denominator), which read canonical trees term by term with ``split_term``
+and build their results back with ``monomial`` and ``distinct_sum``.  Where
+the terms of a sum are already canonical and their monomials pairwise
+distinct, as in a packed polynomial or in the series
+``engine.SeriesSolution.to_expr`` forms with ``times_new_factor``,
+``distinct_sum`` sorts them once and merges nothing; ``add_expanded`` is for
+sums that may merge.  Trees are the form of the parser, the printers, the
+evaluator and the reference fold ``engine.cauchy_product``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ __all__ = [
     "substitute",
     "addends",
     "monomial",
+    "split_term",
     "collect_powers",
     "subtrees",
     "free_vars",
@@ -350,8 +351,8 @@ def _canon_product(factors) -> Expr:
     return Product((Rational(coeff), *out))
 
 
-def _split_term(t):
-    """Term -> (rational coefficient, monomial factor tuple)."""
+def split_term(t):
+    """Canonical term -> (rational coefficient, tuple of its other factors)."""
     if isinstance(t, Rational):
         return t.value, ()
     if isinstance(t, Product):
@@ -377,7 +378,7 @@ def _canon_sum(terms) -> Expr:
         if isinstance(t, Sum):
             stack.extend(reversed(t.terms))
             continue
-        coeff, monomial = _split_term(t)
+        coeff, monomial = split_term(t)
         if coeff == 0:
             continue
         total = merged.get(monomial, Fraction(0)) + coeff
@@ -450,7 +451,7 @@ def distinct_sum(terms) -> Expr:
     """Canonical sum of canonical terms (nonzero, no Sum among them) whose
     monomials are pairwise distinct: one sort by the canonical term order and
     no merging.  ``add_expanded`` of the same terms gives the same tree."""
-    ordered = sorted(terms, key=lambda term: _term_key(_split_term(term)[1]))
+    ordered = sorted(terms, key=lambda term: _term_key(split_term(term)[1]))
     if not ordered:
         return ZERO
     return ordered[0] if len(ordered) == 1 else Sum(tuple(ordered))
@@ -461,7 +462,7 @@ def times_new_factor(term, factor) -> Expr:
     whose base none of the term's factors has: the factor is inserted at its
     canonical position, and nothing is merged or sorted again.  A term that
     has the base already is a ValueError."""
-    coeff, monomial = _split_term(term)
+    coeff, monomial = split_term(term)
     key = _factor_key(factor)
     at = bisect.bisect(monomial, key, key=_factor_key)
     # factors of one base would sort next to each other
@@ -490,7 +491,7 @@ def collect_powers(e, var) -> dict:
     name = var if isinstance(var, str) else var.name
     grouped = {}
     for term in addends(expand(e)):
-        coeff, monomial = _split_term(term)
+        coeff, monomial = split_term(term)
         degree = 0
         rest = []
         for f in monomial:
@@ -637,7 +638,7 @@ def _text(e) -> str:
         exponent = _digits(e.exponent) if e.exponent >= 0 else f"({_digits(e.exponent)})"
         return f"{base}^{exponent}"
     if isinstance(e, Product):
-        coeff, monomial = _split_term(e)
+        coeff, monomial = split_term(e)
         parts = [_text(f) if not isinstance(f, Sum) else f"({_text(f)})" for f in monomial]
         body = "*".join(parts)
         if coeff == 1:
@@ -647,7 +648,7 @@ def _text(e) -> str:
         return f"{_digits(coeff)}*{body}"
     parts = []
     for i, t in enumerate(e.terms):
-        coeff, monomial = _split_term(t)
+        coeff, monomial = split_term(t)
         if i == 0:
             parts.append(_text(t))
         elif coeff < 0:
@@ -696,7 +697,7 @@ def _latex(e) -> str:
             base = rf"\left({base}\right)"
         return rf"{base}^{{{_digits(e.exponent)}}}"
     if isinstance(e, Product):
-        coeff, monomial = _split_term(e)
+        coeff, monomial = split_term(e)
         parts = [
             rf"\left({_latex(f)}\right)" if isinstance(f, Sum) else _latex(f) for f in monomial
         ]
@@ -708,7 +709,7 @@ def _latex(e) -> str:
         return rf"{_latex_frac(coeff)} \, {body}"
     parts = []
     for i, t in enumerate(e.terms):
-        coeff, monomial = _split_term(t)
+        coeff, monomial = split_term(t)
         if i == 0:
             parts.append(_latex(t))
         elif coeff < 0:

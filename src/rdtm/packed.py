@@ -30,8 +30,7 @@ as they appear.  Every field is wide enough for 2^15 times the largest
 exponent in the inputs, and its top bit is a guard that no stored exponent
 sets: adding two keys then never carries into the next field, and a result
 that sets a guard bit is refused.  t gets no field: a caller that needs
-powers of t, as the residual check does, keeps one Poly per t-degree, and an
-atom whose argument contains t is refused.
+powers of t, as the residual check does, keeps one Poly per t-degree.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import math
 from fractions import Fraction
 
 from . import expr as ex
-from .errors import UnsupportedCoefficientError, UnsupportedExpressionError
+from .errors import UnsupportedExpressionError
 from .parsing import TIME_VAR
 
 __all__ = ["Packing", "Poly"]
@@ -81,11 +80,6 @@ def _rescale(p, den) -> None:
         p.den = den
 
 
-def _check_t_free(atom) -> None:
-    if TIME_VAR in ex.free_vars(atom.argument):
-        raise UnsupportedCoefficientError(f"t may appear only in integer powers t^n, found {ex.to_text(atom)}")
-
-
 class Packing:
     """Fields, exp-argument ids and derivative tables for polynomials built
     from ``inputs`` (canonical trees)."""
@@ -98,7 +92,6 @@ class Packing:
         bases = [ex.Var(name) for name in names]
         for node in nodes:
             if isinstance(node, ex.Atom) and node.kind in _PARTNER and ex.Atom("sin", node.argument) not in bases:
-                _check_t_free(node)
                 bases += [ex.Atom("sin", node.argument), ex.Atom("cos", node.argument)]
         self.width = width = largest.bit_length() + HEADROOM_BITS
         self.guard = sum(1 << (width * f + width - 1) for f in range(len(bases)))
@@ -113,31 +106,29 @@ class Packing:
     # -- boundary -----------------------------------------------------------
 
     def from_expr(self, e) -> Poly:
-        """The t-free canonical tree e packed: sums add, products and powers
-        multiply."""
-
-        def walk(node):
-            if isinstance(node, ex.Sum):
-                out = Poly()
-                for term in node.terms:
-                    self.add_into(out, walk(term))
-                return self.settled(out)
-            if isinstance(node, ex.Power) and node.base not in self.index:
-                node = ex.Product((node.base,) * node.exponent)
-            if isinstance(node, ex.Product):
-                p = walk(node.factors[0])
-                for factor in node.factors[1:]:
-                    p = self.mul(p, walk(factor))
-                return p
-            if isinstance(node, ex.Rational):
-                value = node.value
-                return Poly(value.denominator, {0: {0: value.numerator}}) if value else Poly()
-            if isinstance(node, ex.Atom) and node.kind == "exp":
-                return Poly(1, {self._exp_id(node.argument): {0: 1}})
-            base, n = (node.base, node.exponent) if isinstance(node, ex.Power) else (node, 1)
-            return Poly(1, {0: {n << self.index[base][0]: 1}})
-
-        return walk(e)
+        """The canonical expanded tree e packed, in one pass over its terms:
+        each factor adds its power to the term's key or names its exp
+        argument, and the coefficients are put over one denominator."""
+        terms = []
+        for term in ex.addends(e):
+            coeff, factors = ex.split_term(term)
+            key = i = 0
+            for f in factors:
+                if isinstance(f, ex.Atom) and f.kind == "exp":
+                    i = self._exp_id(f.argument)
+                    continue
+                base, n = (f.base, f.exponent) if isinstance(f, ex.Power) else (f, 1)
+                field = self.index.get(base)
+                if field is None:
+                    raise UnsupportedExpressionError(f"cannot pack {ex.to_text(f)}: expected an expanded tree")
+                key += n << field[0]
+            terms.append((i, key, coeff))
+        den = math.lcm(*(coeff.denominator for *_, coeff in terms))
+        groups = {}
+        for i, key, coeff in terms:
+            group = groups.setdefault(i, {})
+            group[key] = group.get(key, 0) + coeff.numerator * (den // coeff.denominator)
+        return self.settled(Poly(den, groups))
 
     def to_expr(self, p) -> ex.Expr:
         """The canonical expanded tree of p."""
@@ -248,7 +239,6 @@ class Packing:
 
     def _exp_id(self, argument) -> int:
         if argument not in self.exp_ids:
-            _check_t_free(ex.Atom("exp", argument))
             self.exp_ids[argument] = len(self.exp_args)
             self.exp_args.append(argument)
         return self.exp_ids[argument]

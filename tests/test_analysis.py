@@ -29,7 +29,13 @@ from rdtm.analysis import (
     taylor_coefficient,
 )
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
-from rdtm.errors import GridError, PrecisionInsufficientError, UnboundVariableError, UnsupportedCoefficientError
+from rdtm.errors import (
+    GridError,
+    PrecisionInsufficientError,
+    UnboundVariableError,
+    UnsupportedExpressionError,
+    UnsupportedStructureError,
+)
 from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, subtrees, to_text
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
 from rdtm.packed import Packing
@@ -715,14 +721,16 @@ class TestTruncatedResidual:
         assert residual_order_check(spec, solve_series(spec, order)) == vanish
 
     def test_spectrum_that_contains_t_is_walked_by_degree(self, solved):
-        """Moving V_3 t^3 into V_2 as -1/6*x^2*t leaves the series, and so the
-        residual, as it was: that V_2 counts at degree 3, not at degree 2."""
+        """Moving V_3 t^3 into V_2 as -1/6*x^2*t would leave the series as
+        it was, but a spectrum is t-free: the solution is refused before any
+        check can walk it."""
         spec, sol = solved(ModelId.EX3, 6)
         assert residual_order_check(spec, sol) == 5
         spectra = list(sol.spectra)
         assert (to_text(spectra[2]), to_text(spectra[3])) == ("0", "-1/6*x^2")
         spectra[2], spectra[3] = parse_expr("-1/6*x^2*t", ("x",)), ZERO
-        assert residual_order_check(spec, SeriesSolution(spec, tuple(spectra), 6)) == 5
+        with pytest.raises(UnsupportedStructureError, match="V_2 contains t"):
+            SeriesSolution(spec, tuple(spectra), 6)
 
     def test_a_power_of_t_is_one_degree(self, monkeypatch):
         """t^20000 is one degree of the graded residual, so the check that
@@ -747,8 +755,16 @@ class TestTruncatedResidual:
         spec, sol = solved(ModelId.EX3, 6)
         spectra = list(sol.spectra)
         spectra[1] = parse_expr(text, ("x",))
-        with pytest.raises(UnsupportedCoefficientError, match="t may appear only in integer powers"):
-            residual_order_check(spec, SeriesSolution(spec, tuple(spectra), 6))
+        with pytest.raises(UnsupportedStructureError, match="V_1 contains t"):
+            SeriesSolution(spec, tuple(spectra), 6)
+
+    def test_an_unexpanded_spectrum_is_refused(self, solved):
+        """Spectra are packed term by term, so a factor that is a sum is an
+        error, never a KeyError."""
+        spec, sol = solved(ModelId.EX3, 6)
+        spectra = (parse_expr("x*(1 + x)", ("x",)), *sol.spectra[1:])
+        with pytest.raises(UnsupportedExpressionError, match=r"cannot pack 1 \+ x"):
+            residual_order_check(spec, SeriesSolution(spec, spectra, 6))
 
     def test_leaves_are_split_without_re_expansion(self, monkeypatch, solved):
         """The residual is packed from its canonical leaves as they stand, so

@@ -200,6 +200,18 @@ def test_missing_file_is_a_clean_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rhs, factor", [
+    ("sin(t)*D(u,x,2)", "sin(t)"),
+    ("sin(t)^2*u", "sin(t)^2"),
+    ("exp(x*t)*u + cos(t)*D(u,x,1)", "exp(t*x)"),
+])
+def test_an_atom_of_t_in_the_equation_is_a_clean_error(tmp_path, capsys, rhs, factor):
+    path = tmp_path / "bad.pde"
+    path.write_text(f'pde "bad" {{\n  vars: x;\n  equation: D(u,t,2) = {rhs};\n  init: x;  init_t: 0;\n}}\n')
+    error = f"error: coefficients may depend on t only through integer powers t^n, found {factor}\n"
+    assert run(capsys, "solve", str(path)) == (1, "", error)
+
+
 def test_invalid_order_is_a_clean_error(capsys):
     code, _, err = run(capsys, "solve", "ex3", "--order", "1")
     assert code == 1 and "order" in err

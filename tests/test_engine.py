@@ -14,6 +14,7 @@ from rdtm.engine import (
     SOURCE,
     PdeSpec,
     RecurrenceState,
+    RecurrenceTerm,
     SeriesSolution,
     cauchy_product,
     compile_recurrence,
@@ -24,6 +25,7 @@ from rdtm.analysis import residual_order_check
 from rdtm.cli import main
 from rdtm.errors import (
     InvalidOrderError,
+    RdtmError,
     UnsupportedCoefficientError,
     UnsupportedExpressionError,
     UnsupportedStructureError,
@@ -107,10 +109,9 @@ class TestCompile:
             compile_recurrence(spec)
 
     def test_non_monomial_time_coefficient_rejected(self):
-        spec = PdeSpec("bad", ("x",), parse_expr("sin(t)*D(u,x,2)", ["x"]),
-                       ZERO, ZERO)
-        with pytest.raises(UnsupportedCoefficientError):
-            compile_recurrence(spec)
+        """PdeSpec refuses it, so compile_recurrence never sees it."""
+        with pytest.raises(UnsupportedCoefficientError, match=r"integer powers t\^n, found sin\(t\)$"):
+            PdeSpec("bad", ("x",), parse_expr("sin(t)*D(u,x,2)", ["x"]), ZERO, ZERO)
 
 
 class TestInitialSpectra:
@@ -271,6 +272,17 @@ class TestTermEvaluation:
             want = expand(Product((rational(-1), x, evaluate_term(unshifted, spectra, k - 2))))
             assert evaluate_term(shifted, spectra, k) == want
 
+    def test_a_spectrum_with_t_is_refused(self):
+        term = RecurrenceTerm(x, 0, ((("x", 2),),))
+        with pytest.raises(RdtmError, match="V_1 contains t"):
+            evaluate_term(term, [x, parse_expr("x^2*t", ["x"])], 1)
+
+    def test_a_coefficient_with_t_is_refused(self):
+        """Its power of t belongs in the time shift; sin(t) belongs nowhere."""
+        for text in ("x*t", "sin(t)"):
+            with pytest.raises(UnsupportedCoefficientError, match="coefficient contains t"):
+                RecurrenceTerm(parse_expr(text, ["x"]), 0, ((),))
+
 
 class TestSubstituteDerivatives:
     def test_exact_solution_satisfies_ex3(self, solved):
@@ -298,6 +310,17 @@ class TestPdeSpecValidation:
     def test_reserved_names_rejected(self):
         with pytest.raises(UnsupportedStructureError):
             PdeSpec("bad", ("sin",), ZERO, ZERO, ZERO)
+
+    @pytest.mark.parametrize("rhs, factor", [
+        ("sin(t)^2*u", "sin(t)^2"),
+        ("exp(x*t)*u + cos(t)*D(u,x,1)", "exp(t*x)"),
+        ("D(u,x,1)*cos(t) + x*exp(x*t)*u", "cos(t)"),
+    ])
+    def test_an_atom_of_t_in_the_rhs_is_refused(self, rhs, factor):
+        """The message names the first offending factor in compile order."""
+        with pytest.raises(UnsupportedCoefficientError) as info:
+            PdeSpec("bad", ("x",), parse_expr(rhs, ["x"]), ZERO, ZERO)
+        assert str(info.value) == f"coefficients may depend on t only through integer powers t^n, found {factor}"
 
 
 def reference_step(rec, spectra, k):
@@ -547,8 +570,15 @@ class TestSeriesBoundary:
         spec, sol = solved(ModelId.EX3, 4)
         spectra = list(sol.spectra)
         spectra[3] = parse_expr("x*t", ["x"])
-        with pytest.raises(ValueError, match="already has a factor of the base of t"):
-            SeriesSolution(spec, tuple(spectra), 4).to_expr()
+        with pytest.raises(UnsupportedStructureError, match="V_3 contains t"):
+            SeriesSolution(spec, tuple(spectra), 4)
+
+    def test_a_first_spectrum_with_t_is_refused_before_any_use(self, solved):
+        """V_0 = x^2*t would give a non-canonical series and an evaluation
+        that reports t unbound; the solution is never built."""
+        spec, sol = solved(ModelId.EX3, 4)
+        with pytest.raises(UnsupportedStructureError, match="V_0 contains t"):
+            SeriesSolution(spec, (parse_expr("x^2*t", ["x"]), *sol.spectra[1:]), 4)
 
 
 class TestFractionBoundary:

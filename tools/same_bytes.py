@@ -12,9 +12,10 @@ The list is every benchmark workload's commands at seed 11, read from the
 working tree's `perfbench/workloads.py`; `demo`; the default figure of ex1,
 ex2 and ex3; `solve` in the latex, csv and json formats; the ex1 order-30
 cell at x = y = 10 (where the error is below one ulp of the values) as a
-table and as a figure at 50 and 200 digits; a few precision edge cases; and
+table and as a figure at 50 and 200 digits; a few precision edge cases;
 tables and a figure in the json and latex formats at 1, 3 and 6 significant
-digits.
+digits; and the growing problem's solve at order 10 in the text and latex
+formats and its check at order 14.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ EXTRA_COMMANDS = [
     ("table", "ex1", "--format", "json", "--sig-digits", "3"),
     ("table", "ex2", "--format", "latex", "--sig-digits", "1"),
     ("figure", "ex3", "--sig-digits", "6"),
+    ("solve", "perfbench/problems/growing.pde", "--order", "10"),
+    ("solve", "perfbench/problems/growing.pde", "--order", "10", "--format", "latex"),
+    ("check", "perfbench/problems/growing.pde", "--order", "14"),
 ]
 
 
