@@ -55,7 +55,6 @@ from .expr import (
     Var,
     ZERO,
     ONE,
-    collect_powers,
     contains_derivsym,
     deriv_sym,
     differentiate,

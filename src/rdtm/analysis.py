@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import expr as ex
 from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError
-from .packed import Packing, Poly
+from .packed import Poly
 from .parsing import MAX_GRID_POINTS, TIME_VAR
 from .precision import PrecisionContext, load_libmp, mpmath
 from .record import Record
@@ -34,6 +34,7 @@ __all__ = [
     "absolute_error_grid",
     "residual_order_check",
     "taylor_coefficient",
+    "taylor_coefficients",
     "render_table",
     "export_figure_data",
     "format_scientific",
@@ -280,7 +281,9 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
     identically zero through its whole t-degree.
 
     The series and the residual are graded, one packed polynomial per
-    nonzero t-degree (``_t_graded``): V_k sits at degree k, and each
+    nonzero t-degree (``_t_graded``): V_k, as the solution holds it packed
+    (``SeriesSolution.packed``, of the solve's own Packing when the solve
+    made the solution), sits at degree k, and each
     derivative image of the series is one derivative of a memoized image of
     one order less, d/dt taking degree d to d - 1 times d.  Products keep
     only the degree pairs below N = sol.order, so those of the right-hand
@@ -288,10 +291,14 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
     t^N vanishes, and the residual's t-degree D reaches N, is it formed once
     more with the bound D + 1, so the first nonzero coefficient above t^N is
     still found.  The return value is the same as that of a full expansion in
-    every case.
+    every case, and for a spec other than the solution's it is that of the
+    spec's equation at the same series.
     """
-    packing = Packing((spec.rhs, *sol.spectra))
-    series = {k: p for k, v in enumerate(sol.spectra) if (p := packing.from_expr(v)).groups}
+    if spec != sol.spec:
+        # the solution's Packing has fields for its own equation only
+        sol = SeriesSolution(spec, sol.spectra, sol.order)
+    packing = sol.packing
+    series = {k: p for k, p in enumerate(sol.packed) if p.groups}
     images = {(): (series, max(series, default=0))}
 
     def image(orders):
@@ -361,10 +368,24 @@ def _t_graded(packing, e, bound, image) -> tuple:
 def taylor_coefficient(e, k: int) -> ex.Expr:
     """k-th Taylor coefficient of e around t = 0: the k-fold derivative at
     zero divided by k! (the transform applied to a closed-form expression)."""
-    d = ex.differentiate(e, TIME_VAR, k)
-    return ex.simplify(
-        ex.Product((ex.rational(1, math.factorial(k)), ex.substitute(d, {TIME_VAR: 0})))
-    )
+    return _at_zero(ex.differentiate(e, TIME_VAR, k), k)
+
+
+def taylor_coefficients(e):
+    """The Taylor coefficients of e around t = 0, k = 0, 1, ..., each the
+    same tree as ``taylor_coefficient(e, k)``: the k-fold derivative is one
+    derivative of the (k-1)-fold one, so n coefficients cost n derivatives."""
+    d = ex.simplify(e)
+    k = 0
+    while True:
+        yield _at_zero(d, k)
+        k += 1
+        d = ex.differentiate(d, TIME_VAR)
+
+
+def _at_zero(d, k: int) -> ex.Expr:
+    """d at t = 0, divided by k!."""
+    return ex.simplify(ex.Product((ex.rational(1, math.factorial(k)), ex.substitute(d, {TIME_VAR: 0}))))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .analysis import (
     rational_range,
     render_table,
     residual_order_check,
-    taylor_coefficient,
+    taylor_coefficients,
 )
 from .engine import SeriesSolution, solve_series
 from .errors import GridError, InvalidOptionError, ParseError, RdtmError
@@ -120,23 +120,17 @@ def _cmd_solve(args) -> int:
     spec, _ = _load_problem(args.problem)
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     sol = solve_series(spec, order)
+    spectra, series = sol.render(ex.LATEX if args.format == "latex" else ex.TEXT, series=args.format != "csv")
     if args.format == "csv":
-        rows = [("k", "spectrum"), *((k, ex.to_text(v)) for k, v in enumerate(sol.spectra))]
+        rows = [("k", "spectrum"), *enumerate(spectra)]
         _emit("\n".join(_csv_line(row) for row in rows) + "\n", args.out)
         return 0
-    series = sol.to_expr()
     if args.format == "json":
-        payload = {
-            "name": spec.name,
-            "order": sol.order,
-            "spectra": [ex.to_text(v) for v in sol.spectra],
-            "series": ex.to_text(series),
-        }
+        payload = {"name": spec.name, "order": sol.order, "spectra": spectra, "series": series}
         _emit_json(payload, args.out)
         return 0
-    render = ex.to_latex if args.format == "latex" else ex.to_text
-    lines = [f"V_{k} = {render(v)}" for k, v in enumerate(sol.spectra)]
-    lines.append(f"series = {render(series)}")
+    lines = [f"V_{k} = {text}" for k, text in enumerate(spectra)]
+    lines.append(f"series = {series}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -231,8 +225,7 @@ def _check_report(sol):
         )
     if spec.exact is not None:
         mismatch = None
-        for k, v in enumerate(sol.spectra):
-            expected = taylor_coefficient(spec.exact, k)
+        for k, (v, expected) in enumerate(zip(sol.spectra, taylor_coefficients(spec.exact))):
             if ex.expand(expected) != v:
                 mismatch = k
                 break

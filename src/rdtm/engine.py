@@ -22,10 +22,14 @@ packed sparse polynomials (rdtm.packed): integer numerators over one
 denominator, in which a derivative image is exponent shifts plus the chain
 rules of exp, sin and cos, a product of monomials is one integer addition,
 and dividing by (k+1)(k+2) scales the denominator.  Expression trees and
-Fractions appear only where the initial spectra and the coefficients are
-packed and where each new spectrum is converted to its canonical expanded
-tree, once; ``SeriesSolution.to_expr`` sorts the terms of those trees into
-the series without multiplying or merging anything.
+Fractions appear only at the boundary: the initial spectra and the
+coefficients are packed once, and a solve's spectra stay packed in its
+SeriesSolution, which builds their trees when ``spectra`` is first read.
+Its series and its text come from the packed terms too: each term's sort
+key of ints (``Packing.terms``) with t^k in its place orders both V_k and
+the series, so ``to_expr`` and ``render`` make one sort and multiply or
+merge nothing.  ``render`` prints each term once, by the rules of the
+``expr`` printers, and ``residual_order_check`` reads the packed spectra.
 
 Everything is exact: spectra have rational coefficients, and both forms are
 canonical, so two runs produce structurally identical output and the order
@@ -46,7 +50,7 @@ from .errors import (
 )
 from .packed import Packing, Poly
 from .parsing import MAX_ORDER, RESERVED_NAMES, TIME_VAR
-from .record import Record
+from .record import Record, _set
 
 __all__ = [
     "SOURCE",
@@ -107,13 +111,16 @@ class PdeSpec(Record):
                 raise UnsupportedStructureError(f"{label} uses undeclared {sorted(bad)}")
         if self.exact is not None and ex.contains_derivsym(self.exact):
             raise UnsupportedStructureError("exact solution must not involve u")
-        for _, factors in _monomials(self.rhs):
-            for f in factors:
-                base = f.base if isinstance(f, ex.Power) else f
-                if isinstance(base, ex.Atom) and TIME_VAR in ex.free_vars(base):
-                    raise UnsupportedCoefficientError(
-                        f"coefficients may depend on t only through integer powers t^n, found {ex.to_text(f)}"
-                    )
+        # Distributing the right-hand side is compile_recurrence's work; it is
+        # done here only to name the first offending factor in compile order.
+        if any(isinstance(node, ex.Atom) and TIME_VAR in ex.free_vars(node) for node in ex.subtrees(self.rhs)):
+            for _, factors in _monomials(self.rhs):
+                for f in factors:
+                    base = f.base if isinstance(f, ex.Power) else f
+                    if isinstance(base, ex.Atom) and TIME_VAR in ex.free_vars(base):
+                        raise UnsupportedCoefficientError(
+                            f"coefficients may depend on t only through integer powers t^n, found {ex.to_text(f)}"
+                        )
 
 
 def _check_t_free(spectra) -> None:
@@ -152,18 +159,64 @@ class SpectralRecurrence(Record):
 
 class SeriesSolution(Record):
     """The spectrum sequence V_0..V_{order-1}, t-free canonical expanded
-    trees as solve_series returns them and as every consumer uses them (a
-    spectrum that contains t is refused); the inverse transform is sum of
-    spectra[k] * t**k."""
+    trees as every consumer reads them (a spectrum that contains t is
+    refused); the inverse transform is sum of spectra[k] * t**k.
 
-    __slots__ = ("spec", "spectra", "order")
+    A solution that ``solve_series`` returns keeps the solve's Packing and
+    packed spectra and builds the trees of ``spectra`` on first read; one
+    made from trees packs them, with the right-hand side, on first need
+    (``packing``, ``packed``).  Equality, hash, repr and pickle are those
+    of (spec, spectra, order) either way.
+    """
+
+    __slots__ = ("spec", "order", "_trees", "_packing", "_packed")
 
     def __init__(self, spec: PdeSpec, spectra, order: int):
         spectra = tuple(spectra)
         if len(spectra) != order:
             raise InvalidOrderError(f"expected {order} spectra, got {len(spectra)}")
         _check_t_free(spectra)
-        self._assign(spec=spec, spectra=spectra, order=order)
+        self._assign(spec=spec, order=order, _trees=spectra, _packing=None, _packed=None)
+
+    @classmethod
+    def _solved(cls, spec, order, trees, packing, packed):
+        """The solution of a solve: the trees of its first spectra (the
+        initial data), and its Packing and all its spectra packed."""
+        sol = cls.__new__(cls)
+        sol._assign(spec=spec, order=order, _trees=tuple(trees), _packing=packing, _packed=tuple(packed))
+        return sol
+
+    def _values(self) -> tuple:
+        return self.spec, self.spectra, self.order
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(spec={self.spec!r}, spectra={self.spectra!r}, order={self.order!r})"
+
+    @property
+    def spectra(self) -> tuple:
+        trees = self._trees
+        if len(trees) < self.order:
+            trees += tuple(map(self._packing.to_expr, self._packed[len(trees):]))
+            _set(self, "_trees", trees)
+        return trees
+
+    @property
+    def packing(self) -> Packing:
+        """The Packing of ``packed``; its fields cover the right-hand side."""
+        self._pack()
+        return self._packing
+
+    @property
+    def packed(self) -> tuple:
+        """The spectra as Polys of ``packing``."""
+        self._pack()
+        return self._packed
+
+    def _pack(self) -> None:
+        if self._packing is None:
+            packing = Packing((self.spec.rhs, *self._trees))
+            _set(self, "_packed", tuple(map(packing.from_expr, self._trees)))
+            _set(self, "_packing", packing)
 
     def to_expr(self) -> ex.Expr:
         """Truncated series sum(V_k * t^k) as a canonical expanded expression.
@@ -171,12 +224,42 @@ class SeriesSolution(Record):
         The spectra are t-free, so the terms of V_k * t^k are those of V_k
         with t^k inserted, and terms of different k are distinct: the series
         is one sort of all of them, with nothing multiplied out or merged."""
-        t = ex.Var(TIME_VAR)
-        terms = ex.addends(self.spectra[0])
-        for k, v in enumerate(self.spectra[1:], 1):
-            power = t if k == 1 else ex.Power(t, k)
-            terms.extend(ex.times_new_factor(term, power) for term in ex.addends(v))
-        return ex.distinct_sum(terms)
+        packing = self.packing
+        return packing.tree(term for k, p in enumerate(self.packed) for term in packing.terms(p, k))
+
+    def render(self, printer, series=True) -> tuple:
+        """(texts of the spectra, text of the series or None without
+        ``series``): printer.node of ``spectra`` and of ``to_expr()``, for
+        printer ``expr.TEXT`` or ``expr.LATEX``.
+
+        Each term is rendered once, from the packed spectra: the keys of
+        the terms of V_k * t^k order V_k as well as the series, so each
+        V_k's terms are sorted once for its text, and the series is one sort
+        of all of them, with the text of t^k among their factors."""
+        packing, t = self.packing, ex.Var(TIME_VAR)
+        # the Packing keeps each factor it makes, so an id names one factor here
+        texts = {}
+        lines, entries = [], []
+        for k, p in enumerate(self.packed):
+            t_text = printer.node(t if k == 1 else ex.Power(t, k))
+            terms = []
+            for key, coeff in sorted(packing.terms(p, k)):
+                parts = []
+                for factor in packing.factors(key):
+                    text = texts.get(id(factor))
+                    if text is None:
+                        text = texts[id(factor)] = printer.node(factor)
+                    parts.append(text)
+                if series:
+                    entries.append((key, coeff, printer.separator.join(parts)))
+                if k:
+                    parts.remove(t_text)
+                terms.append((coeff, printer.separator.join(parts)))
+            lines.append(printer.sum(terms))
+        if not series:
+            return lines, None
+        entries.sort()
+        return lines, printer.sum((coeff, body) for _, coeff, body in entries)
 
 
 def _monomials(e):
@@ -289,9 +372,11 @@ class RecurrenceState:
 
     Images, products, term coefficients and ``packed`` (the spectra) are
     primitive ``Poly`` values of one ``Packing``, fixed from the initial
-    spectra and the coefficients; ``spectra`` holds the same spectra as
-    canonical expanded trees, each new one converted once.  A spectrum that
-    contains t is refused.
+    spectra and the coefficients.  ``advance`` appends each new spectrum to
+    ``packed`` alone, as ``solve_series`` runs it, and the SeriesSolution
+    converts the spectra when they are read; ``step`` also converts it, once,
+    and appends the tree to ``spectra``, which holds the given spectra as
+    trees.  A spectrum that contains t is refused.
     """
 
     def __init__(self, rec: SpectralRecurrence, spectra):
@@ -333,21 +418,27 @@ class RecurrenceState:
             return self.coefficients[term] if j == 0 else Poly()
         return self.packing.mul(self.coefficients[term], self._products(term.factors, j)[j])
 
-    def step(self) -> ex.Expr:
-        """Append and return V_{k+2}, where the spectra run through index k+1.
+    def advance(self) -> Poly:
+        """Append V_{k+2} to ``packed`` and return it, where the packed
+        spectra run through index k+1.
 
         (k+1)(k+2) V_{k+2} equals the sum of the compiled terms at index k;
         the sum is merged so that cancellations happen at every step, and the
         division scales its denominator.
         """
-        k = len(self.spectra) - 2
+        k = len(self.packed) - 2
         total = Poly()
         for term in self.rec.terms:
             self.packing.add_into(total, self.contribution(term, k))
         total.den *= (k + 1) * (k + 2)
         spectrum = self.packing.settled(total)
         self.packed.append(spectrum)
-        self.spectra.append(self.packing.to_expr(spectrum))
+        return spectrum
+
+    def step(self) -> ex.Expr:
+        """``advance``, and append V_{k+2} to ``spectra`` as a tree and
+        return it."""
+        self.spectra.append(self.packing.to_expr(self.advance()))
         return self.spectra[-1]
 
 
@@ -366,6 +457,6 @@ def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
     # V_0 and V_1 are the initial data, expanded (the 1/k! factors are 1 for k <= 1)
     state = RecurrenceState(compile_recurrence(spec), (ex.expand(spec.init_u), ex.expand(spec.init_ut)))
     for _ in range(order - 2):
-        state.step()
-    return SeriesSolution(spec, tuple(state.spectra), order)
-
+        state.advance()
+    # the state, with its memos, is dropped here: the solution keeps the spectra alone
+    return SeriesSolution._solved(spec, order, state.spectra, state.packing, state.packed)

@@ -18,26 +18,24 @@ Canonical form is decided here.  Every kernel function returns a canonical
 tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
 tree comes in: the parser, ``PdeSpec``, ``RecurrenceTerm`` and the public
 entry points (``simplify``, ``expand``, ``differentiate``, ``substitute``,
-``collect_powers``, ``precision.eval_precise``).  ``mul_expanded``,
-``add_expanded``, ``distinct_sum``, ``times_new_factor``, ``monomial``,
-``precision.eval_number`` and ``precision.eval_canonical`` require canonical
-input.
+``precision.eval_precise``).  ``mul_expanded``, ``add_expanded``,
+``build_term``, ``precision.eval_number`` and ``precision.eval_canonical``
+require canonical input.
 
 The recurrence and the residual check do not multiply trees: they work on
 packed sparse polynomials (``rdtm.packed``, integer numerators over one
-denominator), which read canonical trees term by term with ``split_term``
-and build their results back with ``monomial`` and ``distinct_sum``.  Where
-the terms of a sum are already canonical and their monomials pairwise
-distinct, as in a packed polynomial or in the series
-``engine.SeriesSolution.to_expr`` forms with ``times_new_factor``,
-``distinct_sum`` sorts them once and merges nothing; ``add_expanded`` is for
-sums that may merge.  Trees are the form of the parser, the printers, the
-evaluator and the reference fold ``engine.cauchy_product``.
+denominator), which read canonical trees term by term with ``split_term``.
+A packed polynomial is already in canonical order once its terms are sorted
+by a key of ints that ``factor_order`` gives the ranks of, so it builds its
+tree term by term with ``build_term``, merging and sorting nothing again, and
+``engine.SeriesSolution.render`` prints its terms with the ``Printer`` rules
+that ``to_text`` (``TEXT``) and ``to_latex`` (``LATEX``) apply to a Product
+and a Sum.  Trees are the form of the parser, the printers, the evaluator
+and the reference fold ``engine.cauchy_product``.
 """
 
 from __future__ import annotations
 
-import bisect
 import sys
 from fractions import Fraction
 
@@ -61,19 +59,20 @@ __all__ = [
     "expand",
     "mul_expanded",
     "add_expanded",
-    "distinct_sum",
-    "times_new_factor",
     "differentiate",
     "substitute",
     "addends",
-    "monomial",
     "split_term",
-    "collect_powers",
+    "build_term",
+    "factor_order",
     "subtrees",
     "free_vars",
     "contains_derivsym",
     "to_text",
     "to_latex",
+    "Printer",
+    "TEXT",
+    "LATEX",
 ]
 
 ATOM_KINDS = ("exp", "sin", "cos")
@@ -230,6 +229,15 @@ def _term_key(monomial):
     return (sum(_factor_grade(f) for f in monomial), tuple(_factor_key(f) for f in monomial))
 
 
+def factor_order(bases) -> list:
+    """The indices of distinct canonical bases in the canonical order of
+    factors with those bases.  A term's factors sort by base, and its sort
+    key is its degree in the variables, then (base, exponent) factor by
+    factor; so with each base replaced by its place in this order, the key
+    becomes a flat tuple of ints (as ``rdtm.packed`` makes it)."""
+    return sorted(range(len(bases)), key=lambda i: _node_key(bases[i]))
+
+
 # ---------------------------------------------------------------------------
 # Canonicalization (flatten, fold, merge, sort; no distribution over sums)
 
@@ -362,7 +370,9 @@ def split_term(t):
     return Fraction(1), (t,)
 
 
-def _build_term(coeff, monomial) -> Expr:
+def build_term(coeff, monomial) -> Expr:
+    """Canonical term coeff * monomial from a nonzero coefficient and a
+    tuple of canonical factors of distinct bases in canonical order."""
     if not monomial:
         return Rational(coeff)
     if coeff == 1:
@@ -389,7 +399,7 @@ def _canon_sum(terms) -> Expr:
     if not merged:
         return ZERO
     ordered = sorted(merged.items(), key=lambda item: _term_key(item[0]))
-    out = [_build_term(coeff, monomial) for monomial, coeff in ordered]
+    out = [build_term(coeff, monomial) for monomial, coeff in ordered]
     return out[0] if len(out) == 1 else Sum(tuple(out))
 
 
@@ -433,42 +443,9 @@ def mul_expanded(a, b) -> Expr:
     return _canon_sum([_canon_product([ta, tb]) for ta in addends(a) for tb in addends(b)])
 
 
-def monomial(coeff, powers) -> Expr:
-    """Canonical term coeff * prod(base^n) from nonzero coeff and
-    (base, n) pairs of distinct canonical bases with n >= 1, exp only with
-    n = 1."""
-    factors = [base if n == 1 else Power(base, n) for base, n in powers]
-    factors.sort(key=_factor_key)
-    return _build_term(coeff, tuple(factors))
-
-
 def add_expanded(parts) -> Expr:
     """Sum of canonical expanded expressions, expanded and merged."""
     return _canon_sum(list(parts))
-
-
-def distinct_sum(terms) -> Expr:
-    """Canonical sum of canonical terms (nonzero, no Sum among them) whose
-    monomials are pairwise distinct: one sort by the canonical term order and
-    no merging.  ``add_expanded`` of the same terms gives the same tree."""
-    ordered = sorted(terms, key=lambda term: _term_key(split_term(term)[1]))
-    if not ordered:
-        return ZERO
-    return ordered[0] if len(ordered) == 1 else Sum(tuple(ordered))
-
-
-def times_new_factor(term, factor) -> Expr:
-    """Canonical term times a canonical factor (not exp, and not a Rational)
-    whose base none of the term's factors has: the factor is inserted at its
-    canonical position, and nothing is merged or sorted again.  A term that
-    has the base already is a ValueError."""
-    coeff, monomial = split_term(term)
-    key = _factor_key(factor)
-    at = bisect.bisect(monomial, key, key=_factor_key)
-    # factors of one base would sort next to each other
-    if any(_factor_key(f)[0] == key[0] for f in monomial[max(at - 1, 0):at + 1]):
-        raise ValueError(f"{to_text(term)} already has a factor of the base of {to_text(factor)}")
-    return _build_term(coeff, (*monomial[:at], factor, *monomial[at:]))
 
 
 def _pow_expanded(base, exponent) -> Expr:
@@ -482,27 +459,6 @@ def _pow_expanded(base, exponent) -> Expr:
         if n:
             power = mul_expanded(power, power)
     return result
-
-
-def collect_powers(e, var) -> dict:
-    """Expanded e grouped by the power of var: {degree: coefficient Expr}.
-    Occurrences of var inside atom arguments are not collected; callers that
-    need a clean split must keep var out of atom arguments."""
-    name = var if isinstance(var, str) else var.name
-    grouped = {}
-    for term in addends(expand(e)):
-        coeff, monomial = split_term(term)
-        degree = 0
-        rest = []
-        for f in monomial:
-            if isinstance(f, Var) and f.name == name:
-                degree = 1
-            elif isinstance(f, Power) and isinstance(f.base, Var) and f.base.name == name:
-                degree = f.exponent
-            else:
-                rest.append(f)
-        grouped.setdefault(degree, []).append(_build_term(coeff, tuple(rest)))
-    return {degree: _canon_sum(parts) for degree, parts in sorted(grouped.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -637,29 +593,7 @@ def _text(e) -> str:
             base = f"({base})"
         exponent = _digits(e.exponent) if e.exponent >= 0 else f"({_digits(e.exponent)})"
         return f"{base}^{exponent}"
-    if isinstance(e, Product):
-        coeff, monomial = split_term(e)
-        parts = [_text(f) if not isinstance(f, Sum) else f"({_text(f)})" for f in monomial]
-        body = "*".join(parts)
-        if coeff == 1:
-            return body
-        if coeff == -1:
-            return f"-{body}"
-        return f"{_digits(coeff)}*{body}"
-    parts = []
-    for i, t in enumerate(e.terms):
-        coeff, monomial = split_term(t)
-        if i == 0:
-            parts.append(_text(t))
-        elif coeff < 0:
-            negated = _build_term(-coeff, monomial)
-            body = _text(negated)
-            if isinstance(negated, Sum):
-                body = f"({body})"
-            parts.append(" - " + body)
-        else:
-            parts.append(" + " + _text(t))
-    return "".join(parts)
+    return TEXT.compound(e)
 
 
 def to_latex(e) -> str:
@@ -696,28 +630,60 @@ def _latex(e) -> str:
         if isinstance(e.base, (Sum, Product, Rational, DerivSym)):
             base = rf"\left({base}\right)"
         return rf"{base}^{{{_digits(e.exponent)}}}"
-    if isinstance(e, Product):
-        coeff, monomial = split_term(e)
-        parts = [
-            rf"\left({_latex(f)}\right)" if isinstance(f, Sum) else _latex(f) for f in monomial
-        ]
-        body = r" \, ".join(parts)
+    return LATEX.compound(e)
+
+
+class Printer:
+    """The rules by which one printer renders a Product and a Sum.
+
+    ``node`` renders any tree, ``number`` a coefficient, ``separator``
+    joins a monomial's factors and a coefficient to them, and ``group``
+    encloses a factor that is a Sum.  ``term`` and ``sum`` also serve a
+    caller that holds a sum as (coefficient, monomial text) pairs itself, as
+    ``engine.SeriesSolution.render`` does with packed spectra.
+    """
+
+    __slots__ = ("node", "number", "separator", "group")
+
+    def __init__(self, node, number, separator, group):
+        self.node, self.number, self.separator, self.group = node, number, separator, group
+
+    def monomial(self, factors) -> str:
+        """The text of a monomial's factors, in the order given."""
+        return self.separator.join(self.group.format(self.node(f)) if isinstance(f, Sum) else self.node(f)
+                                   for f in factors)
+
+    def term(self, coeff, body) -> str:
+        """coeff times a monomial whose factors render as body ("" for none)."""
+        if not body:
+            return self.number(coeff)
         if coeff == 1:
             return body
         if coeff == -1:
             return f"-{body}"
-        return rf"{_latex_frac(coeff)} \, {body}"
-    parts = []
-    for i, t in enumerate(e.terms):
-        coeff, monomial = split_term(t)
-        if i == 0:
-            parts.append(_latex(t))
-        elif coeff < 0:
-            negated = _build_term(-coeff, monomial)
-            body = _latex(negated)
-            if isinstance(negated, Sum):
-                body = rf"\left({body}\right)"
-            parts.append(" - " + body)
-        else:
-            parts.append(" + " + _latex(t))
-    return "".join(parts)
+        return f"{self.number(coeff)}{self.separator}{body}"
+
+    def sum(self, terms) -> str:
+        """A sum of (coefficient, monomial text) pairs in canonical order:
+        the first term as it is, every later one after " + ", or after " - "
+        with its coefficient negated; "0" for none."""
+        parts = []
+        for coeff, body in terms:
+            if not parts:
+                parts.append(self.term(coeff, body))
+            elif coeff < 0:
+                parts.append(" - " + self.term(-coeff, body))
+            else:
+                parts.append(" + " + self.term(coeff, body))
+        return "".join(parts) or self.number(0)
+
+    def compound(self, e) -> str:
+        """A Product or a Sum."""
+        if isinstance(e, Product):
+            coeff, monomial = split_term(e)
+            return self.term(coeff, self.monomial(monomial))
+        return self.sum((coeff, self.monomial(monomial)) for coeff, monomial in map(split_term, e.terms))
+
+
+TEXT = Printer(_text, _digits, "*", "({})")
+LATEX = Printer(_latex, _latex_frac, r" \, ", r"\left({}\right)")

@@ -19,8 +19,16 @@ polynomials are equal Polys.  An accumulator is brought to the lcm of its
 denominator and that of what is added into it, after which products and sums
 are of plain ints; it is made primitive once, when it is settled.  Fractions
 appear only at the boundary: ``from_expr`` packs a canonical tree, reading
-each coefficient's numerator and denominator, and ``to_expr`` builds the
-canonical expanded tree of a packed polynomial, one Fraction per term.
+each coefficient's numerator and denominator, and ``terms`` reads a packed
+polynomial's terms back, one Fraction per term.
+
+The canonical term order is computed from the packed keys.  Every base a
+term can have (the fields, the exp arguments so far, and t) is ranked once
+in canonical factor order (``expr.factor_order``), and a term's sort key is
+a flat tuple of ints: its degree, then (rank, exponent) per factor.  So
+``to_expr`` sorts the terms once and builds each term with its factors
+already in order, and a caller that puts t^k into the terms of several
+polynomials, as the series does, sorts all of them by the same keys.
 
 A Packing fixes the fields for one computation, from its inputs: one per
 variable other than t, and one per sin and one per cos of every atom
@@ -29,8 +37,9 @@ these fields serve throughout; exp arguments, which products add up, get ids
 as they appear.  Every field is wide enough for 2^15 times the largest
 exponent in the inputs, and its top bit is a guard that no stored exponent
 sets: adding two keys then never carries into the next field, and a result
-that sets a guard bit is refused.  t gets no field: a caller that needs
-powers of t, as the residual check does, keeps one Poly per t-degree.
+that sets a guard bit is refused.  t gets no field, only a rank in the term
+order: a caller that needs powers of t, as the residual check does, keeps
+one Poly per t-degree.
 """
 
 from __future__ import annotations
@@ -102,6 +111,8 @@ class Packing:
         self.exp_sums = {}
         self.chains = {}
         self.argument_derivatives = {}
+        self.ranked = None
+        self.made_factors = {}
 
     # -- boundary -----------------------------------------------------------
 
@@ -130,15 +141,74 @@ class Packing:
             group[key] = group.get(key, 0) + coeff.numerator * (den // coeff.denominator)
         return self.settled(Poly(den, groups))
 
+    def terms(self, p, k=0):
+        """(key, coefficient) of every term of p * t^k, in no fixed order.
+
+        The coefficient is a Fraction.  The key is a flat tuple of ints:
+        the term's degree in the variables, t included, then a (rank,
+        exponent) pair per factor in canonical factor order, a base's rank
+        being its place in that order (``factors`` gives the factors back).
+        Sorting by the keys is the canonical term order of ``expr``, and so
+        is sorting by the keys of the terms of several polynomials, each
+        times its own power of t: that is the order of a series."""
+        _, fields, exp_ranks, t_rank = self._ranking()
+        if k:
+            fields = [*fields, (t_rank, 0, 0, k, True)]
+        for i, group in p.groups.items():
+            layout = sorted([*fields, (exp_ranks[i], 0, 0, 1, False)] if i else fields)
+            for key, c in group.items():
+                flat = [0]
+                for rank, shift, mask, fixed, is_var in layout:
+                    if n := fixed or key >> shift & mask:
+                        flat += rank, n
+                        if is_var:
+                            flat[0] += n
+                yield tuple(flat), Fraction(c, p.den)
+
+    def factors(self, key) -> list:
+        """The factors of a ``terms`` key, in key order: one per (rank,
+        exponent) pair, each made once per ranking."""
+        self._ranking()
+        made = self.made_factors
+        return [made.get(pair) or self._factor(pair) for pair in zip(key[1::2], key[2::2])]
+
+    def _factor(self, pair) -> ex.Expr:
+        rank, n = pair
+        base = self.ranked[0][rank]
+        factor = self.made_factors[pair] = base if n == 1 else ex.Power(base, n)
+        return factor
+
     def to_expr(self, p) -> ex.Expr:
         """The canonical expanded tree of p."""
-        terms = []
-        for i, group in p.groups.items():
-            exp_factor = [(ex.Atom("exp", self.exp_args[i]), 1)] if i else []
-            for key, c in group.items():
-                powers = [(base, n) for base, shift, mask in self.fields if (n := (key >> shift) & mask)]
-                terms.append(ex.monomial(Fraction(c, p.den), powers + exp_factor))
-        return ex.distinct_sum(terms)
+        return self.tree(self.terms(p))
+
+    def tree(self, terms) -> ex.Expr:
+        """The canonical sum of ``terms`` pairs with distinct keys, of one
+        polynomial or of several: the terms in the order of their keys, each
+        built with its factors in key order."""
+        built = [ex.build_term(coeff, tuple(self.factors(key))) for key, coeff in sorted(terms)]
+        if len(built) == 1:
+            return built[0]
+        return ex.Sum(tuple(built)) if built else ex.ZERO
+
+    def _ranking(self) -> tuple:
+        """(bases by rank, a (rank, shift, mask, 0, is a variable) entry per
+        field, the rank of each exp id, the rank of t): the canonical factor
+        order of every base a term can have, ranked once for the exp ids so
+        far; ``factors`` makes its factors again for a new ranking."""
+        if self.ranked is None or len(self.ranked[2]) != len(self.exp_args):
+            exps = [ex.Atom("exp", argument) for argument in self.exp_args[1:]]
+            bases = [base for base, *_ in self.fields] + exps + [ex.Var(TIME_VAR)]
+            order = ex.factor_order(bases)
+            rank = {index: r for r, index in enumerate(order)}
+            fields = [
+                (rank[f], shift, mask, 0, isinstance(base, ex.Var))
+                for f, (base, shift, mask) in enumerate(self.fields)
+            ]
+            exp_ranks = [None] + [rank[len(self.fields) + j] for j in range(len(exps))]
+            self.ranked = [bases[index] for index in order], fields, exp_ranks, rank[len(bases) - 1]
+            self.made_factors = {}
+        return self.ranked
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -4,8 +4,11 @@ These deliberately avoid the code paths they check: series oracles sum exact
 rational Taylor terms instead of calling mpmath, the convolution oracle
 walks every composition with nested loops instead of folding pairwise, the
 residual oracle expands the whole residual instead of truncating it, the
-series oracle multiplies out and merges every V_k * t^k instead of sorting
-distinct terms once, the per-point series oracle evaluates every
+series oracles multiply out and merge every V_k * t^k, or insert t^k into
+tree terms, instead of sorting packed keys once, the packed-to-tree oracle
+sorts tree factors and terms by their node keys instead of by packed keys of
+ints, the residual coefficients are read off the expanded residual tree by
+their power of t, the per-point series oracle evaluates every
 spectrum afresh at every point, and the rendering oracle prints through
 ``mpmath.nstr`` and ``decimal`` instead of rounding a digit string as an
 integer.
@@ -13,6 +16,7 @@ integer.
 
 from __future__ import annotations
 
+import bisect
 from decimal import Context as DecimalContext
 from fractions import Fraction
 
@@ -115,6 +119,86 @@ def series_fold(sol):
     )
 
 
+def monomial(coeff, powers):
+    """Canonical term coeff * prod(base^n) from nonzero coeff and (base, n)
+    pairs of distinct canonical bases with n >= 1, exp only with n = 1: the
+    factors sorted by their node keys."""
+    factors = [base if n == 1 else ex.Power(base, n) for base, n in powers]
+    factors.sort(key=ex._factor_key)
+    return ex.build_term(coeff, tuple(factors))
+
+
+def distinct_sum(terms):
+    """Canonical sum of canonical terms (nonzero, no Sum among them) whose
+    monomials are pairwise distinct: one sort by the canonical term order of
+    their node keys and no merging.  ``add_expanded`` of the same terms
+    gives the same tree."""
+    ordered = sorted(terms, key=lambda term: ex._term_key(ex.split_term(term)[1]))
+    if not ordered:
+        return ex.ZERO
+    return ordered[0] if len(ordered) == 1 else ex.Sum(tuple(ordered))
+
+
+def times_new_factor(term, factor):
+    """Canonical term times a canonical factor (not exp, and not a Rational)
+    whose base none of the term's factors has: the factor is inserted at its
+    canonical position, and nothing is merged or sorted again.  A term that
+    has the base already is a ValueError."""
+    coeff, factors = ex.split_term(term)
+    key = ex._factor_key(factor)
+    at = bisect.bisect(factors, key, key=ex._factor_key)
+    # factors of one base would sort next to each other
+    if any(ex._factor_key(f)[0] == key[0] for f in factors[max(at - 1, 0):at + 1]):
+        raise ValueError(f"{ex.to_text(term)} already has a factor of the base of {ex.to_text(factor)}")
+    return ex.build_term(coeff, (*factors[:at], factor, *factors[at:]))
+
+
+def packed_to_expr(packing, p):
+    """Reference for ``Packing.to_expr``: each term of the packed
+    polynomial p built with ``monomial`` from its fields' powers and its exp
+    factor, and the terms summed with ``distinct_sum``."""
+    terms = []
+    for i, group in p.groups.items():
+        exp_factor = [(ex.Atom("exp", packing.exp_args[i]), 1)] if i else []
+        for key, c in group.items():
+            powers = [(base, n) for base, shift, mask in packing.fields if (n := (key >> shift) & mask)]
+            terms.append(monomial(Fraction(c, p.den), powers + exp_factor))
+    return distinct_sum(terms)
+
+
+def series_insert(sol):
+    """Reference for ``SeriesSolution.to_expr`` that sorts trees: t^k put
+    into every term of V_k with ``times_new_factor``, and all the terms
+    summed with ``distinct_sum``."""
+    t = ex.Var("t")
+    terms = ex.addends(sol.spectra[0])
+    for k, v in enumerate(sol.spectra[1:], 1):
+        power = t if k == 1 else ex.Power(t, k)
+        terms.extend(times_new_factor(term, power) for term in ex.addends(v))
+    return distinct_sum(terms)
+
+
+def collect_powers(e, var) -> dict:
+    """Expanded e grouped by the power of var: {degree: coefficient Expr}.
+    Occurrences of var inside atom arguments are not collected; callers that
+    need a clean split must keep var out of atom arguments."""
+    name = var if isinstance(var, str) else var.name
+    grouped = {}
+    for term in ex.addends(ex.expand(e)):
+        coeff, factors = ex.split_term(term)
+        degree = 0
+        rest = []
+        for f in factors:
+            if isinstance(f, ex.Var) and f.name == name:
+                degree = 1
+            elif isinstance(f, ex.Power) and isinstance(f.base, ex.Var) and f.base.name == name:
+                degree = f.exponent
+            else:
+                rest.append(f)
+        grouped.setdefault(degree, []).append(ex.build_term(coeff, tuple(rest)))
+    return {degree: ex.add_expanded(parts) for degree, parts in sorted(grouped.items())}
+
+
 def substitute_derivatives(e, source):
     """e with every derivative symbol replaced by that derivative of source,
     each taken once by ``expr.differentiate`` on the tree."""
@@ -143,10 +227,10 @@ def full_expansion_residual(spec, sol) -> dict:
     """Reference residual for ``analysis.residual_order_check``: u_tt - rhs at
     the truncated series, expanded out to its whole t-degree, as
     {degree: coefficient}."""
-    series = sol.to_expr()
+    series = series_insert(sol)
     u_tt = ex.differentiate(series, "t", 2)
     residual = ex.Sum((u_tt, ex.Product((ex.rational(-1), substitute_derivatives(spec.rhs, series)))))
-    return ex.collect_powers(residual, "t")
+    return collect_powers(residual, "t")
 
 
 def first_nonvanishing_degree(coefficients, order) -> int:

@@ -1,5 +1,6 @@
 """Series evaluation, error grids, residual checks, rendering, figure data."""
 
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from rdtm.analysis import (
     render_table,
     residual_order_check,
     taylor_coefficient,
+    taylor_coefficients,
 )
 from rdtm.engine import PdeSpec, SeriesSolution, solve_series
 from rdtm.errors import (
@@ -648,6 +650,14 @@ class TestTruncatedResidual:
         spec = _random_spec(rng, f"random{seed}")
         assert_matches_full_expansion(spec, solve_series(spec, rng.randint(3, 7)))
 
+    def test_the_residual_of_another_equation_matches_full_expansion(self, solved):
+        """The check walks the equation of the spec it is given, whose
+        variables and atoms the solution's own Packing may not have."""
+        _, sol = solved(ModelId.EX3, 6)
+        other = parse_spec_file('pde "other" { vars: x, y; equation: D(u,t,2) = y*sin(y)*u - x^2*u; '
+                                'init: 0; init_t: x^2; }')
+        assert_matches_full_expansion(other, sol)
+
     @pytest.mark.parametrize("order, vanish", [(3, 5), (4, 5), (6, 5), (8, 8)])
     def test_residual_vanishing_past_the_order_is_found(self, order, vanish):
         """Every coefficient below the truncation order vanishes here, so the
@@ -789,6 +799,12 @@ class TestTaylorCoefficient:
         spec, _ = solved(ModelId.EX3, 2)
         assert taylor_coefficient(spec.exact, 0) == ZERO
         assert to_text(taylor_coefficient(spec.exact, 3)) == "-1/6*x^2"
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_one_derivative_per_order_gives_the_same_trees(self, solved, model):
+        spec, _ = solved(model, 2)
+        got = list(itertools.islice(taylor_coefficients(spec.exact), 40))
+        assert got == [taylor_coefficient(spec.exact, k) for k in range(40)]
 
 
 class TestRendering:

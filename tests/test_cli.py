@@ -11,9 +11,11 @@ import pytest
 
 import rdtm.cli
 import rdtm.engine
+import rdtm.expr
 from rdtm.cli import main
 from rdtm.analysis import evaluate_series
 from rdtm.models import ModelId
+from rdtm.packed import Packing
 from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, MAX_ORDER, parse_expr
 from rdtm.precision import MAX_DECIMAL_DIGITS, PrecisionContext, eval_precise
 
@@ -171,6 +173,54 @@ def test_growing_solve_output_digest(capsys, order):
     code, out, err = run(capsys, "solve", str(GROWING_PDE), "--order", str(order))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GROWING_SOLVE_DIGESTS[order]
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json", "csv"])
+def test_solve_prints_from_packed_spectra(monkeypatch, capsys, fmt):
+    """No spectrum or series becomes a tree on the way to the printed text."""
+    calls = []
+    original = Packing.to_expr
+
+    def converting(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Packing, "to_expr", converting)
+    code, out, err = run(capsys, "solve", str(GROWING_PDE), "--order", "10", "--format", fmt)
+    assert (code, err) == (0, "") and out
+    assert calls == []
+
+
+def test_check_builds_one_packing(monkeypatch, capsys):
+    """The residual check reads the spectra the solve packed."""
+    made = []
+    original = Packing.__init__
+
+    def counting(self, inputs):
+        made.append(inputs)
+        original(self, inputs)
+
+    monkeypatch.setattr(Packing, "__init__", counting)
+    code, out, _ = run(capsys, "check", str(GROWING_PDE), "--order", "10")
+    assert code == 0 and out.startswith("residual vanishes through t^7")
+    assert len(made) == 1
+
+
+def test_check_takes_one_derivative_per_order(monkeypatch, solved):
+    """Closed-form agreement differentiates the exact solution once per
+    order, not k times for V_k."""
+    _, sol = solved(ModelId.EX3, 20)
+    calls = [0]
+    original = rdtm.expr.differentiate
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(rdtm.expr, "differentiate", counting)
+    lines, ok = rdtm.cli._check_report(sol)
+    assert ok and lines[1] == "spectra match the exact solution's Taylor coefficients for k<20"
+    assert calls[0] == 19
 
 
 def test_spec_file_solve_matches_builtin(tmp_path, capsys):
@@ -534,7 +584,7 @@ def test_order_over_the_limit_is_refused_before_compiling(monkeypatch, capsys, c
         raise WorkStarted
 
     monkeypatch.setattr(rdtm.engine, "compile_recurrence", refuse)
-    monkeypatch.setattr(rdtm.engine.RecurrenceState, "step", refuse)
+    monkeypatch.setattr(rdtm.engine.RecurrenceState, "advance", refuse)
     code, out, err = run(capsys, command, "ex3", "--order", str(MAX_ORDER + 1))
     message = f"error: truncation order {MAX_ORDER + 1} is more than the limit of {MAX_ORDER}\n"
     assert (code, out, err) == (1, "", message)

@@ -1,7 +1,9 @@
 """Recurrence compilation, convolution, stepping and the series solver."""
 
 import math
+import pickle
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import rdtm.engine
 import rdtm.expr
 import rdtm.packed
+from rdtm import expr as ex
 
 from rdtm.engine import (
     SOURCE,
@@ -44,6 +47,7 @@ from rdtm.expr import (
     mul_expanded,
     rational,
     simplify,
+    to_latex,
     to_text,
 )
 from rdtm.models import ModelId, builtin_model
@@ -51,7 +55,7 @@ from rdtm.packed import Packing, Poly
 from rdtm.parsing import MAX_ORDER, parse_expr
 from rdtm.specfile import parse_spec_file
 
-from oracles import nested_convolution, series_fold, substitute_derivatives
+from oracles import nested_convolution, packed_to_expr, series_fold, series_insert, substitute_derivatives
 
 x = Var("x")
 e_x = Atom("exp", x)
@@ -194,12 +198,12 @@ class TestSolveSeries:
         spec, _ = solved(ModelId.EX3, 2)
         steps = []
 
-        def step(state):
-            steps.append(len(state.spectra))
-            state.spectra.append(ZERO)
-            return ZERO
+        def advance(state):
+            steps.append(len(state.packed))
+            state.packed.append(Poly())
+            return state.packed[-1]
 
-        monkeypatch.setattr(RecurrenceState, "step", step)
+        monkeypatch.setattr(RecurrenceState, "advance", advance)
         sol = solve_series(spec, MAX_ORDER)
         assert sol.order == MAX_ORDER and steps == list(range(2, MAX_ORDER))
 
@@ -210,7 +214,7 @@ class TestSolveSeries:
             raise AssertionError("a recurrence of the rejected order was compiled or stepped")
 
         monkeypatch.setattr(rdtm.engine, "compile_recurrence", refuse)
-        monkeypatch.setattr(RecurrenceState, "step", refuse)
+        monkeypatch.setattr(RecurrenceState, "advance", refuse)
         with pytest.raises(InvalidOrderError, match=f"{MAX_ORDER + 1} is more than the limit of {MAX_ORDER}"):
             solve_series(spec, MAX_ORDER + 1)
 
@@ -322,6 +326,22 @@ class TestPdeSpecValidation:
             PdeSpec("bad", ("x",), parse_expr(rhs, ["x"]), ZERO, ZERO)
         assert str(info.value) == f"coefficients may depend on t only through integer powers t^n, found {factor}"
 
+    def test_the_right_hand_side_is_distributed_once(self, monkeypatch):
+        """The check for an atom of t walks the tree, so only compilation
+        distributes a right-hand side that has none."""
+        seen = []
+        original = rdtm.engine._monomials
+
+        def recording(e):
+            seen.append(e)
+            return original(e)
+
+        monkeypatch.setattr(rdtm.engine, "_monomials", recording)
+        spec = parse_spec_file(GROWING_PDE.read_text())
+        assert not any(e is spec.rhs for e in seen)
+        compile_recurrence(spec)
+        assert sum(e is spec.rhs for e in seen) == 1
+
 
 def reference_step(rec, spectra, k):
     """V_{k+2} from the reference fold: every term convolves freshly computed
@@ -420,9 +440,10 @@ class TestRecurrenceState:
 
     def test_solve_does_not_recanonicalize_kernel_results(self, monkeypatch, solved):
         """Trees are packed only where they come in: the initial spectra, the
-        term coefficients and the exp arguments, and each new spectrum is
-        converted to a tree once.  Packing every spectrum again for its
-        images, or every convolution entry, would grow like the O(K^3)
+        term coefficients and the exp arguments.  The solve converts no
+        spectrum to a tree; the first read of ``spectra`` converts each new
+        one once, and a second read none.  Packing every spectrum again for
+        its images, or every convolution entry, would grow like the O(K^3)
         recompute (3.7x from order 10 to 20)."""
         spec, _ = solved(ModelId.EX2, 2)
         calls = {"from_expr": 0, "to_expr": 0}
@@ -438,14 +459,20 @@ class TestRecurrenceState:
 
         monkeypatch.setattr(Packing, "from_expr", packing)
         monkeypatch.setattr(Packing, "to_expr", converting)
-        counts = []
+        counts, reads = [], []
         for order in (10, 20):
             calls.update(from_expr=0, to_expr=0)
-            solve_series(spec, order)
+            sol = solve_series(spec, order)
             counts.append(dict(calls))
+            for _ in range(2):
+                calls.update(from_expr=0, to_expr=0)
+                assert len(sol.spectra) == order
+                reads.append(dict(calls))
         packed = [c["from_expr"] for c in counts]
         assert 0 < packed[0] and packed[1] < 3 * packed[0], counts
-        assert [c["to_expr"] for c in counts] == [8, 18], counts
+        assert [c["to_expr"] for c in counts] == [0, 0], counts
+        assert [c["to_expr"] for c in reads] == [8, 0, 18, 0], reads
+        assert not any(c["from_expr"] for c in reads), reads
 
     def test_coefficients_are_expanded_once_at_compile_time(self, monkeypatch, solved):
         """Terms store their coefficients expanded, so a contribution whose
@@ -579,6 +606,96 @@ class TestSeriesBoundary:
         spec, sol = solved(ModelId.EX3, 4)
         with pytest.raises(UnsupportedStructureError, match="V_0 contains t"):
             SeriesSolution(spec, (parse_expr("x^2*t", ["x"]), *sol.spectra[1:]), 4)
+
+
+def assert_packed_boundary(sol):
+    """The solution's trees, series and texts, all made from its packed
+    spectra, are those of the oracles and of the printers on trees."""
+    spectra, series = sol.render(ex.TEXT)
+    latex_spectra, latex_series = sol.render(ex.LATEX)
+    assert [sol.packing.to_expr(p) for p in sol.packed] == [packed_to_expr(sol.packing, p) for p in sol.packed]
+    tree = series_insert(sol)
+    assert sol.to_expr() == tree
+    assert spectra == [to_text(v) for v in sol.spectra]
+    assert latex_spectra == [to_latex(v) for v in sol.spectra]
+    assert (series, latex_series) == (to_text(tree), to_latex(tree))
+    assert sol.render(ex.TEXT, series=False) == (spectra, None)
+
+
+class TestPackedBoundary:
+    """A solve's spectra stay packed up to the caller that reads them, and
+    the packed keys give the canonical term order of trees and text."""
+
+    @pytest.mark.parametrize("name,order", [("ex1", 16), ("ex2", 20), ("ex3", 30), ("rational", 8),
+                                            *(("growing", order) for order in range(6, 19))])
+    def test_problems(self, name, order):
+        assert_packed_boundary(solve_series(load_problem(name), order))
+
+    def test_random_recurrences(self):
+        rng = random.Random(20613)
+        for index in range(25):
+            assert_packed_boundary(solve_series(_random_spec(rng, index), 6))
+
+    def test_solutions_from_trees_render_the_same(self):
+        spec = load_problem("growing")
+        sol = solve_series(spec, 10)
+        given = SeriesSolution(spec, sol.spectra, 10)
+        assert given.render(ex.LATEX) == sol.render(ex.LATEX)
+        assert given.to_expr() == sol.to_expr()
+
+    @pytest.mark.parametrize("name", ["growing", "ex2"])
+    def test_a_solved_solution_is_the_solution_of_its_trees(self, name):
+        """Equality, hash, repr and pickle read the trees, built on first read."""
+        spec = load_problem(name)
+        given = SeriesSolution(spec, solve_series(spec, 10).spectra, 10)
+        solved = [solve_series(spec, 10) for _ in range(5)]
+        assert solved[0] == given and given == solved[1]
+        assert hash(solved[2]) == hash(given) == hash((spec, given.spectra, 10))
+        assert repr(solved[3]) == repr(given)
+        for sol in (solved[4], given):
+            copy = pickle.loads(pickle.dumps(sol))
+            assert copy == sol and copy == given and copy.spectra == given.spectra
+        assert all(sol.spectra == given.spectra for sol in solved)
+
+    def test_the_solve_frees_its_memos_when_it_returns(self, monkeypatch):
+        """The solution keeps the packed spectra, not the recurrence state,
+        so the memos are freed before anything is printed."""
+        states = []
+        original = RecurrenceState.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            states.append(weakref.ref(self))
+
+        monkeypatch.setattr(RecurrenceState, "__init__", recording)
+        sol = solve_series(load_problem("growing"), 8)
+        assert len(states) == 1 and states[0]() is None
+        assert len(sol.packed) == 8
+
+    def test_advance_appends_the_packed_spectrum_alone(self):
+        """``advance`` is the step without the tree: ``step`` appends the
+        tree of the same spectrum."""
+        spec = load_problem("growing")
+        advanced, stepped = (RecurrenceState(compile_recurrence(spec), solve_series(spec, 2).spectra)
+                             for _ in range(2))
+        for _ in range(4):
+            spectrum = advanced.advance()
+            assert stepped.step() == stepped.packing.to_expr(spectrum)
+        assert advanced.packed == stepped.packed and len(advanced.spectra) == 2
+
+    def test_new_exp_arguments_change_no_term_order(self):
+        """The residual check adds exp arguments to the solution's Packing,
+        which ranks its bases again: the factors of the old ranking are
+        dropped, and the trees and texts stay the same."""
+        spec = parse_spec_file('pde "shift" { vars: x; equation: D(u,t,2) = exp(-x)*u; init: x*exp(5*x); init_t: 0; }')
+        sol = solve_series(spec, 4)
+        before = sol.render(ex.TEXT), sol.to_expr()
+        ranked = sol.packing._ranking()[0]
+        residual_order_check(spec, sol)
+        # exp(3*x) is new, and it ranks before exp(4*x) and exp(5*x)
+        assert sol.packing._ranking()[0] == [*ranked[:3], Atom("exp", parse_expr("3*x", ["x"])), *ranked[3:]]
+        assert (sol.render(ex.TEXT), sol.to_expr()) == before
+        assert_packed_boundary(sol)
 
 
 class TestFractionBoundary:

@@ -14,7 +14,6 @@ from rdtm.expr import (
     Var,
     ZERO,
     ONE,
-    collect_powers,
     contains_derivsym,
     deriv_sym,
     differentiate,
@@ -27,6 +26,8 @@ from rdtm.expr import (
     to_latex,
     to_text,
 )
+
+from oracles import collect_powers
 
 x, y, t = Var("x"), Var("y"), Var("t")
 e_xy = Atom("exp", Product((x, y)))

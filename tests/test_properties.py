@@ -10,7 +10,7 @@ from rdtm.engine import cauchy_product
 from rdtm.parsing import parse_expr
 from rdtm.precision import PrecisionContext, eval_precise, fraction_to_mpf
 
-from oracles import nested_convolution
+from oracles import distinct_sum, nested_convolution, times_new_factor
 
 settings.register_profile("kernel", deadline=None, max_examples=60)
 settings.load_profile("kernel")
@@ -214,7 +214,7 @@ def test_distinct_sum_matches_add_expanded_on_distinct_monomials(exprs, rng):
             terms.setdefault(_monomial(term), term)
     terms = list(terms.values())
     rng.shuffle(terms)
-    assert ex.distinct_sum(terms) == ex.add_expanded(terms)
+    assert distinct_sum(terms) == ex.add_expanded(terms)
 
 
 @given(full_exprs, st.integers(min_value=1, max_value=4))
@@ -223,4 +223,4 @@ def test_times_new_factor_matches_the_expanded_product(e, k):
     the product that mul_expanded forms."""
     power = ex.simplify(ex.Power(ex.Var("t"), k))
     for term in ex.addends(ex.expand(e)):
-        assert ex.times_new_factor(term, power) == ex.mul_expanded(term, power)
+        assert times_new_factor(term, power) == ex.mul_expanded(term, power)

@@ -14,8 +14,10 @@ ex2 and ex3; `solve` in the latex, csv and json formats; the ex1 order-30
 cell at x = y = 10 (where the error is below one ulp of the values) as a
 table and as a figure at 50 and 200 digits; a few precision edge cases;
 tables and a figure in the json and latex formats at 1, 3 and 6 significant
-digits; and the growing problem's solve at order 10 in the text and latex
-formats and its check at order 14.
+digits; the growing problem's solve at order 10 in the text and latex
+formats, at order 14 in the json and csv formats and at order 18, and its
+check at order 14; ex2's solve at order 20 in latex; and ex3's check at
+order 40.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ EXTRA_COMMANDS = [
     ("solve", "perfbench/problems/growing.pde", "--order", "10"),
     ("solve", "perfbench/problems/growing.pde", "--order", "10", "--format", "latex"),
     ("check", "perfbench/problems/growing.pde", "--order", "14"),
+    ("solve", "perfbench/problems/growing.pde", "--order", "18"),
+    ("solve", "perfbench/problems/growing.pde", "--order", "14", "--format", "json"),
+    ("solve", "perfbench/problems/growing.pde", "--order", "14", "--format", "csv"),
+    ("solve", "ex2", "--order", "20", "--format", "latex"),
+    ("check", "ex3", "--order", "40"),
 ]
 
 
