@@ -37,7 +37,7 @@ from .analysis import (
     residual_order_check,
     taylor_coefficients,
 )
-from .engine import SeriesSolution, solve_series
+from .engine import solve_series
 from .errors import GridError, InvalidOptionError, ParseError, RdtmError
 from .models import (
     DEFAULT_FIGURE,
@@ -258,9 +258,7 @@ def _cmd_demo(args) -> int:
         sol = solve_series(spec, order)
         for k in (0, 1, 2, 3):
             out_lines.append(f"   V_{k} = {ex.to_text(sol.spectra[k])}")
-        # the first n spectra of a solve are those of a solve at order n
-        n = min(order, 10)
-        check_lines, ok = _check_report(SeriesSolution(spec, sol.spectra[:n], n))
+        check_lines, ok = _check_report(sol.truncated(min(order, 10)))
         all_ok = all_ok and ok
         out_lines.extend("   " + line for line in check_lines)
         grid = _table_grid(None, spec, model)

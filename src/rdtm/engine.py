@@ -162,16 +162,18 @@ class SeriesSolution(Record):
     trees as every consumer reads them (a spectrum that contains t is
     refused); the inverse transform is sum of spectra[k] * t**k.
 
-    A solution that ``solve_series`` returns keeps the solve's Packing and
-    packed spectra and builds the trees of ``spectra`` on first read; one
-    made from trees packs them, with the right-hand side, on first need
-    (``packing``, ``packed``).  Equality, hash, repr and pickle are those
-    of (spec, spectra, order) either way.
+    A solution that ``solve_series`` returns, or ``truncated`` cuts, holds
+    packed spectra alone, with their Packing, and builds every tree of
+    ``spectra`` on first read; one made from trees packs them, with the
+    right-hand side, on first need (``packing``, ``packed``).  Equality,
+    hash, repr and pickle are those of (spec, spectra, order) either way.
     """
 
     __slots__ = ("spec", "order", "_trees", "_packing", "_packed")
 
     def __init__(self, spec: PdeSpec, spectra, order: int):
+        if type(order) is not int:
+            raise InvalidOrderError(f"order must be an integer, got {order!r}")
         spectra = tuple(spectra)
         if len(spectra) != order:
             raise InvalidOrderError(f"expected {order} spectra, got {len(spectra)}")
@@ -179,12 +181,17 @@ class SeriesSolution(Record):
         self._assign(spec=spec, order=order, _trees=spectra, _packing=None, _packed=None)
 
     @classmethod
-    def _solved(cls, spec, order, trees, packing, packed):
-        """The solution of a solve: the trees of its first spectra (the
-        initial data), and its Packing and all its spectra packed."""
+    def _solved(cls, spec, packing, packed):
+        """The solution whose spectra are ``packed``, Polys of ``packing``."""
         sol = cls.__new__(cls)
-        sol._assign(spec=spec, order=order, _trees=tuple(trees), _packing=packing, _packed=tuple(packed))
+        sol._assign(spec=spec, order=len(packed), _trees=None, _packing=packing, _packed=tuple(packed))
         return sol
+
+    def truncated(self, n: int) -> "SeriesSolution":
+        """The first n spectra, those of a solve at order n, sharing ``packing``."""
+        if type(n) is not int or not 1 <= n <= self.order:
+            raise InvalidOrderError(f"a truncation order must be an integer from 1 to {self.order}, got {n!r}")
+        return self._solved(self.spec, self.packing, self.packed[:n])
 
     def _values(self) -> tuple:
         return self.spec, self.spectra, self.order
@@ -194,11 +201,9 @@ class SeriesSolution(Record):
 
     @property
     def spectra(self) -> tuple:
-        trees = self._trees
-        if len(trees) < self.order:
-            trees += tuple(map(self._packing.to_expr, self._packed[len(trees):]))
-            _set(self, "_trees", trees)
-        return trees
+        if self._trees is None:
+            _set(self, "_trees", tuple(map(self._packing.to_expr, self._packed)))
+        return self._trees
 
     @property
     def packing(self) -> Packing:
@@ -371,20 +376,19 @@ class RecurrenceState:
     step extends every sequence by one entry.
 
     Images, products, term coefficients and ``packed`` (the spectra) are
-    primitive ``Poly`` values of one ``Packing``, fixed from the initial
-    spectra and the coefficients.  ``advance`` appends each new spectrum to
-    ``packed`` alone, as ``solve_series`` runs it, and the SeriesSolution
-    converts the spectra when they are read; ``step`` also converts it, once,
-    and appends the tree to ``spectra``, which holds the given spectra as
-    trees.  A spectrum that contains t is refused.
+    primitive ``Poly`` values of one ``Packing``, fixed from the given
+    spectra, which are packed and not kept, and the coefficients.
+    ``advance`` is the step: it appends each new spectrum to ``packed``
+    alone, and a caller that reads trees converts it (``packing.to_expr``).
+    A spectrum that contains t is refused.
     """
 
     def __init__(self, rec: SpectralRecurrence, spectra):
         self.rec = rec
-        self.spectra = list(spectra)
-        _check_t_free(self.spectra)
-        self.packing = Packing((*self.spectra, *(term.coefficient for term in rec.terms)))
-        self.packed = [self.packing.from_expr(v) for v in self.spectra]
+        spectra = tuple(spectra)
+        _check_t_free(spectra)
+        self.packing = Packing((*spectra, *(term.coefficient for term in rec.terms)))
+        self.packed = [self.packing.from_expr(v) for v in spectra]
         self.coefficients = {term: self.packing.from_expr(term.coefficient) for term in rec.terms}
         self.images = {}
         self.products = {}
@@ -435,16 +439,13 @@ class RecurrenceState:
         self.packed.append(spectrum)
         return spectrum
 
-    def step(self) -> ex.Expr:
-        """``advance``, and append V_{k+2} to ``spectra`` as a tree and
-        return it."""
-        self.spectra.append(self.packing.to_expr(self.advance()))
-        return self.spectra[-1]
-
 
 def evaluate_term(term: RecurrenceTerm, spectra, k: int) -> ex.Expr:
-    """Contribution of one recurrence term at index k, given spectra 0..k."""
+    """Contribution of one recurrence term at index k, given spectra 0..k - time_shift."""
     state = RecurrenceState(SpectralRecurrence((term,)), spectra)
+    j = k - term.time_shift
+    if term.factors != (SOURCE,) and len(state.packed) <= j:
+        raise IndexError(f"sequence of length {len(state.packed)} has no index {j}")
     return state.packing.to_expr(state.contribution(term, k))
 
 
@@ -459,4 +460,4 @@ def solve_series(spec: PdeSpec, order: int) -> SeriesSolution:
     for _ in range(order - 2):
         state.advance()
     # the state, with its memos, is dropped here: the solution keeps the spectra alone
-    return SeriesSolution._solved(spec, order, state.spectra, state.packing, state.packed)
+    return SeriesSolution._solved(spec, state.packing, state.packed)

@@ -14,7 +14,7 @@ import rdtm.engine
 import rdtm.expr
 from rdtm.cli import main
 from rdtm.analysis import evaluate_series
-from rdtm.models import ModelId
+from rdtm.models import DEFAULT_TABLE_ORDER, ModelId
 from rdtm.packed import Packing
 from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, MAX_ORDER, parse_expr
 from rdtm.precision import MAX_DECIMAL_DIGITS, PrecisionContext, eval_precise
@@ -204,6 +204,39 @@ def test_check_builds_one_packing(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", str(GROWING_PDE), "--order", "10")
     assert code == 0 and out.startswith("residual vanishes through t^7")
     assert len(made) == 1
+
+
+def test_demo_makes_one_packing_per_model(monkeypatch, capsys):
+    """demo checks a prefix of each model's solve, which shares the
+    solve's Packing."""
+    made = []
+    original = Packing.__init__
+
+    def counting(self, inputs):
+        made.append(inputs)
+        original(self, inputs)
+
+    monkeypatch.setattr(Packing, "__init__", counting)
+    code, _, err = run(capsys, "demo")
+    assert code == 0, err
+    assert len(made) == len(ModelId) == 3
+
+
+def test_demo_checks_print_the_lines_of_check(capsys):
+    """Each model's check lines in demo are those of `rdtm check` at the
+    order demo checks, indented."""
+    _, out, _ = run(capsys, "demo")
+    blocks = re.split(r"^== ", out, flags=re.M)[1:]
+    assert len(blocks) == len(ModelId)
+    for model, block in zip(ModelId, blocks):
+        order = min(DEFAULT_TABLE_ORDER[model], 10)
+        code, check_out, err = run(capsys, "check", model.value, "--order", str(order))
+        assert code == 0, err
+        expected = ["   " + line for line in check_out.splitlines()]
+        lines = block.splitlines()
+        assert lines[0] == f"{model.value}: order {DEFAULT_TABLE_ORDER[model]}"
+        assert lines[5:5 + len(expected)] == expected
+        assert lines[5 + len(expected)].startswith("   max |series - exact|")
 
 
 def test_check_takes_one_derivative_per_order(monkeypatch, solved):

@@ -172,18 +172,20 @@ def initial_state(spec):
 class TestAdvanceStep:
     def test_ex3_first_step_vanishes(self, solved):
         spec, _ = solved(ModelId.EX3, 2)
-        assert initial_state(spec).step() == ZERO
+        state = initial_state(spec)
+        assert state.packing.to_expr(state.advance()) == ZERO
 
     def test_ex3_second_step(self, solved):
         spec, _ = solved(ModelId.EX3, 2)
         state = initial_state(spec)
-        state.step()
-        v3 = state.step()
+        state.advance()
+        v3 = state.packing.to_expr(state.advance())
         assert v3 == simplify(Product((rational(-1, 6), Power(x, 2))))
 
     def test_ex2_first_step_quintic_cancellation(self, solved):
         spec, _ = solved(ModelId.EX2, 2)
-        v2 = initial_state(spec).step()
+        state = initial_state(spec)
+        v2 = state.packing.to_expr(state.advance())
         assert v2 == simplify(Product((rational(1, 2), e_x)))
 
 
@@ -240,6 +242,14 @@ class TestSolveSeries:
         with pytest.raises(InvalidOrderError):
             SeriesSolution(spec, (ZERO,), 2)
 
+    def test_series_solution_order_must_be_an_int(self, solved):
+        """An order that equals the number of spectra is still refused unless
+        it is an int, as ``solve_series`` refuses one."""
+        spec, _ = solved(ModelId.EX3, 2)
+        for spectra, order in (((ZERO,) * 3, 3.0), ((ZERO,), True)):
+            with pytest.raises(InvalidOrderError, match=f"^order must be an integer, got {order!r}$"):
+                SeriesSolution(spec, spectra, order)
+
     def test_to_expr(self, solved):
         spec, sol = solved(ModelId.EX3, 4)
         assert to_text(sol.to_expr()) == "t*x^2 - 1/6*t^3*x^2"
@@ -275,6 +285,20 @@ class TestTermEvaluation:
             # the shifted term is x * V_{k-2}; the unshifted one is -V_{k-2}
             want = expand(Product((rational(-1), x, evaluate_term(unshifted, spectra, k - 2))))
             assert evaluate_term(shifted, spectra, k) == want
+
+    def test_short_spectra_name_the_missing_index(self):
+        """A term at index k reads spectra 0..k - time_shift, as
+        cauchy_product reads its sequences; a SOURCE term reads none."""
+        term = RecurrenceTerm(x, 1, ((), (("x", 1),)))
+        spectra = [x, simplify(Power(x, 2))]
+        with pytest.raises(IndexError, match="^sequence of length 2 has no index 2$"):
+            evaluate_term(term, spectra, 3)
+        with pytest.raises(IndexError, match="^sequence of length 0 has no index 0$"):
+            evaluate_term(term, [], 1)
+        assert evaluate_term(term, spectra, 2) == expand(parse_expr("x*(x*2*x + x^2*1)", ["x"]))
+        assert evaluate_term(term, [], 0) == ZERO
+        source = RecurrenceTerm(x, 1, (SOURCE,))
+        assert [evaluate_term(source, [], k) for k in range(3)] == [ZERO, x, ZERO]
 
     def test_a_spectrum_with_t_is_refused(self):
         term = RecurrenceTerm(x, 0, ((("x", 2),),))
@@ -410,8 +434,8 @@ class TestRecurrenceState:
         spec, _ = solved(ModelId.EX2, 2)
         state = initial_state(spec)
         for k in range(4):
-            state.step()
-            assert len(state.spectra) == k + 3
+            state.advance()
+            assert len(state.packed) == k + 3
             assert {len(seq) for seq in state.images.values()} == {k + 1}
             assert {len(seq) for seq in state.products.values()} == {k + 1}
         # the quintic terms share sorted prefixes, e.g. (u, u) starts five of them
@@ -441,8 +465,8 @@ class TestRecurrenceState:
     def test_solve_does_not_recanonicalize_kernel_results(self, monkeypatch, solved):
         """Trees are packed only where they come in: the initial spectra, the
         term coefficients and the exp arguments.  The solve converts no
-        spectrum to a tree; the first read of ``spectra`` converts each new
-        one once, and a second read none.  Packing every spectrum again for
+        spectrum to a tree; the first read of ``spectra`` converts each one
+        once, the initial data too, and a second read none.  Packing every spectrum again for
         its images, or every convolution entry, would grow like the O(K^3)
         recompute (3.7x from order 10 to 20)."""
         spec, _ = solved(ModelId.EX2, 2)
@@ -471,7 +495,7 @@ class TestRecurrenceState:
         packed = [c["from_expr"] for c in counts]
         assert 0 < packed[0] and packed[1] < 3 * packed[0], counts
         assert [c["to_expr"] for c in counts] == [0, 0], counts
-        assert [c["to_expr"] for c in reads] == [8, 0, 18, 0], reads
+        assert [c["to_expr"] for c in reads] == [10, 0, 20, 0], reads
         assert not any(c["from_expr"] for c in reads), reads
 
     def test_coefficients_are_expanded_once_at_compile_time(self, monkeypatch, solved):
@@ -480,7 +504,7 @@ class TestRecurrenceState:
         rather than once per term at every step."""
         spec, _ = solved(ModelId.EX1, 2)
         state = initial_state(spec)
-        state.step()
+        state.advance()
         assert all(term.coefficient == expand(term.coefficient) for term in state.rec.terms)
         calls = [0]
         original = rdtm.expr.expand
@@ -547,7 +571,7 @@ def stepped():
             spec = load_problem(name)
             state = RecurrenceState(compile_recurrence(spec), (expand(spec.init_u), expand(spec.init_ut)))
             for _ in range(8):
-                state.step()
+                state.advance()
             states[name] = state
         return states[name]
 
@@ -672,17 +696,6 @@ class TestPackedBoundary:
         assert len(states) == 1 and states[0]() is None
         assert len(sol.packed) == 8
 
-    def test_advance_appends_the_packed_spectrum_alone(self):
-        """``advance`` is the step without the tree: ``step`` appends the
-        tree of the same spectrum."""
-        spec = load_problem("growing")
-        advanced, stepped = (RecurrenceState(compile_recurrence(spec), solve_series(spec, 2).spectra)
-                             for _ in range(2))
-        for _ in range(4):
-            spectrum = advanced.advance()
-            assert stepped.step() == stepped.packing.to_expr(spectrum)
-        assert advanced.packed == stepped.packed and len(advanced.spectra) == 2
-
     def test_new_exp_arguments_change_no_term_order(self):
         """The residual check adds exp arguments to the solution's Packing,
         which ranks its bases again: the factors of the old ranking are
@@ -696,6 +709,28 @@ class TestPackedBoundary:
         assert sol.packing._ranking()[0] == [*ranked[:3], Atom("exp", parse_expr("3*x", ["x"])), *ranked[3:]]
         assert (sol.render(ex.TEXT), sol.to_expr()) == before
         assert_packed_boundary(sol)
+
+
+class TestTruncated:
+    """``truncated(n)`` is the solution of a solve's first n packed spectra."""
+
+    @pytest.mark.parametrize("name,order", [("ex1", 8), ("ex2", 16), ("ex3", 20), ("growing", 10)])
+    def test_every_prefix_is_the_solution_of_its_trees(self, name, order):
+        spec = load_problem(name)
+        sol = solve_series(spec, order)
+        for n in range(2, order + 1):
+            prefix = sol.truncated(n)
+            given = SeriesSolution(spec, sol.spectra[:n], n)
+            assert prefix.order == n and prefix.packing is sol.packing
+            assert residual_order_check(spec, prefix) == residual_order_check(spec, given)
+            assert prefix == given and prefix.render(ex.TEXT) == given.render(ex.TEXT)
+            assert SeriesSolution(spec, sol.spectra, order).truncated(n) == given
+
+    @pytest.mark.parametrize("n", [0, -1, 5, 2.0, True, None, "2"])
+    def test_an_order_outside_the_solution_is_refused(self, n):
+        sol = solve_series(load_problem("ex3"), 4)
+        with pytest.raises(InvalidOrderError, match=f"^a truncation order must be an integer from 1 to 4, got {n!r}$"):
+            sol.truncated(n)
 
 
 class TestFractionBoundary:
@@ -716,7 +751,7 @@ class TestFractionBoundary:
 
     def test_a_solve_makes_one_fraction_per_term_of_each_new_spectrum(self, fractions):
         sol = solve_series(load_problem("growing"), 14)
-        terms = sum(len(addends(v)) for v in sol.spectra[2:])
+        terms = sum(len(addends(v)) for v in sol.spectra)
         assert terms > 1000
         assert fractions[0] == terms
 

@@ -16,8 +16,9 @@ table and as a figure at 50 and 200 digits; a few precision edge cases;
 tables and a figure in the json and latex formats at 1, 3 and 6 significant
 digits; the growing problem's solve at order 10 in the text and latex
 formats, at order 14 in the json and csv formats and at order 18, and its
-check at order 14; ex2's solve at order 20 in latex; and ex3's check at
-order 40.
+check at order 14; ex2's solve at order 20 in latex; ex3's check at
+order 40; the checks `demo` runs on a prefix of its solves, ex2 and ex3 at
+order 10; and ex1's check at order 2, whose residual report is vacuous.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ EXTRA_COMMANDS = [
     ("solve", "perfbench/problems/growing.pde", "--order", "14", "--format", "csv"),
     ("solve", "ex2", "--order", "20", "--format", "latex"),
     ("check", "ex3", "--order", "40"),
+    ("check", "ex2", "--order", "10"),
+    ("check", "ex3", "--order", "10"),
+    ("check", "ex1", "--order", "2"),
 ]
 
 
