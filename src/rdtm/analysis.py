@@ -37,6 +37,8 @@ __all__ = [
     "taylor_coefficients",
     "render_table",
     "export_figure_data",
+    "figure_rows",
+    "figure_csv_lines",
     "format_scientific",
     "fraction_str",
     "MAX_SIG_DIGITS",
@@ -182,7 +184,9 @@ class FigureData(Record):
     """Columnar sweep data: sweep coordinates, series value, exact value,
     absolute error; ready for external plotting.  A row's coordinates are
     Fractions and its other values are kept raw in ``raw_rows``, as in
-    ``ErrorTable``; ``rows`` gives those as mpf."""
+    ``ErrorTable``; ``rows`` gives those as mpf.  It holds every row of
+    the sweep at once; ``figure_rows`` yields them one at a time, and
+    ``figure_csv_lines`` writes either as CSV."""
 
     __slots__ = ("columns", "raw_rows")
 
@@ -196,11 +200,7 @@ class FigureData(Record):
         return tuple(tuple(v if isinstance(v, Fraction) else make_mpf(v) for v in row) for row in self.raw_rows)
 
     def to_csv(self, sig_digits: int = 6) -> str:
-        lines = [_csv_line(self.columns)]
-        for row in self.raw_rows:
-            cells = [fraction_str(v) if isinstance(v, Fraction) else format_scientific(v, sig_digits) for v in row]
-            lines.append(_csv_line(cells))
-        return "\n".join(lines) + "\n"
+        return "".join(figure_csv_lines(self.columns, self.raw_rows, sig_digits))
 
 
 def _raw(value):
@@ -504,12 +504,34 @@ def export_figure_data(
     """Columnar dataset over a cartesian sweep with the remaining variables
     fixed by the slice: (sweep values..., series, exact, abs error).
 
+    The columns and every row of ``figure_rows``, held in one FigureData;
+    its arguments, and the errors it raises, are those of ``figure_rows``.
+    """
+    columns, rows = figure_rows(sol, exact, slice_bindings, sweeps, ctx)
+    return FigureData(columns, tuple(rows))
+
+
+def figure_rows(
+    sol: SeriesSolution,
+    exact: ex.Expr,
+    slice_bindings,
+    sweeps,
+    ctx: PrecisionContext = PrecisionContext(),
+) -> tuple:
+    """(columns, rows) of a cartesian sweep with the remaining variables
+    fixed by the slice: the column names (sweep variables..., "series",
+    "exact", "abs_error") and a lazy iterator of the rows, row-major, each
+    (sweep values as Fractions..., series, exact, abs error as raw
+    ``libmp`` values).  A row is computed when it is read, so a caller that
+    consumes them one at a time holds one row, not the sweep.
+
     ``sweeps`` is a sequence of (variable, start, stop, step) with one
     variable name each (a tuple of tied names is a GridError) and exact
     rational bounds, and slice values are exact rationals too (a float is a
     GridError); after applying the slice, exactly the sweep variables must
-    remain unbound.  As in ``absolute_error_grid``, spectra, t-powers
-    and atoms are evaluated once per distinct value for the whole sweep.
+    remain unbound.  Every one of these checks is made before this returns.
+    As in ``absolute_error_grid``, spectra, t-powers and atoms are evaluated
+    once per distinct value for the whole sweep.
     """
     slice_bindings = dict(slice_bindings)
     fixed = dict(zip(slice_bindings, _as_fractions(slice_bindings.values())))
@@ -522,8 +544,28 @@ def export_figure_data(
     from . import separable
 
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
-    rows = tuple(
+    rows = (
         (*coords, series_value, exact_value, _abs_error(series_value, exact_value))
         for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
     )
-    return FigureData((*sweep_names, "series", "exact", "abs_error"), rows)
+    return (*sweep_names, "series", "exact", "abs_error"), rows
+
+
+def figure_csv_lines(columns, raw_rows, sig_digits: int):
+    """The CSV text of a figure's header and rows, one row's line at a
+    time, each ending in a newline: coordinates by ``fraction_str``, the
+    other values by ``format_scientific``.  Each line is formed as its row
+    is read, so rows from ``figure_rows`` stream through.  The header comes
+    with the first row, so nothing comes before the first cell is
+    computed; an empty sweep gives the header alone."""
+    header = _csv_line(columns) + "\n"
+    for row in raw_rows:
+        yield header + _csv_line(figure_cells(row, sig_digits)) + "\n"
+        header = ""
+    if header:
+        yield header
+
+
+def figure_cells(row, sig_digits: int) -> list:
+    """The texts of one figure row's cells, as CSV and JSON print them."""
+    return [fraction_str(v) if isinstance(v, Fraction) else format_scientific(v, sig_digits) for v in row]

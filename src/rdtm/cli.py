@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import expr as ex
 from .analysis import (
@@ -30,6 +29,9 @@ from .analysis import (
     check_bindings,
     check_sweeps,
     export_figure_data,
+    figure_cells,
+    figure_csv_lines,
+    figure_rows,
     format_scientific,
     fraction_str,
     rational_range,
@@ -98,18 +100,25 @@ def _one_variable_each(text, option, arity) -> list:
     return [(names[0], *values) for names, *values in assignments]
 
 
-def _emit(text: str, out_path):
+def _emit(pieces, out_path):
+    """Write the texts of ``pieces`` in turn to the file ``out_path``, or
+    to stdout without one.  The file is opened once the first piece is
+    ready, so an error raised before it leaves no file."""
+    pieces = iter(pieces)
+    first = next(pieces, "")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(first)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(payload, out_path):
     import json  # only --format json needs it
 
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    _emit([json.dumps(payload, indent=2) + "\n"], out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +132,7 @@ def _cmd_solve(args) -> int:
     spectra, series = sol.render(ex.LATEX if args.format == "latex" else ex.TEXT, series=args.format != "csv")
     if args.format == "csv":
         rows = [("k", "spectrum"), *enumerate(spectra)]
-        _emit("\n".join(_csv_line(row) for row in rows) + "\n", args.out)
+        _emit(["\n".join(_csv_line(row) for row in rows) + "\n"], args.out)
         return 0
     if args.format == "json":
         payload = {"name": spec.name, "order": sol.order, "spectra": spectra, "series": series}
@@ -131,7 +140,7 @@ def _cmd_solve(args) -> int:
         return 0
     lines = [f"V_{k} = {text}" for k, text in enumerate(spectra)]
     lines.append(f"series = {series}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -157,7 +166,7 @@ def _cmd_table(args) -> int:
         _emit_json(payload, args.out)
         return 0
     style = "plain" if args.format == "text" else args.format
-    _emit(render_table(table, style, args.sig_digits), args.out)
+    _emit([render_table(table, style, args.sig_digits)], args.out)
     return 0
 
 
@@ -185,23 +194,18 @@ def _cmd_figure(args) -> int:
     order = DEFAULT_SOLVE_ORDER if order is None else order
     ctx = PrecisionContext(args.precision)
     sol = solve_series(spec, order)
-    data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
     if args.format == "json":
+        data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
         payload = {
             "name": spec.name,
             "order": sol.order,
             "columns": list(data.columns),
-            "rows": [
-                [
-                    fraction_str(v) if isinstance(v, Fraction) else format_scientific(v, args.sig_digits)
-                    for v in row
-                ]
-                for row in data.raw_rows
-            ],
+            "rows": [figure_cells(row, args.sig_digits) for row in data.raw_rows],
         }
         _emit_json(payload, args.out)
         return 0
-    _emit(data.to_csv(args.sig_digits), args.out)
+    columns, rows = figure_rows(sol, spec.exact, slice_bindings, sweeps, ctx)
+    _emit(figure_csv_lines(columns, rows, args.sig_digits), args.out)
     return 0
 
 
@@ -243,7 +247,7 @@ def _cmd_check(args) -> int:
     spec, _ = _load_problem(args.problem)
     order = DEFAULT_SOLVE_ORDER if args.order is None else args.order
     lines, ok = _check_report(solve_series(spec, order))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if ok else 1
 
 
@@ -269,7 +273,7 @@ def _cmd_demo(args) -> int:
             f"reference grid: {format_scientific(worst, 5)}"
         )
     out_lines.append("reproduction summary: " + ("all checks passed" if all_ok else "FAILURES (see above)"))
-    _emit("\n".join(out_lines) + "\n", args.out)
+    _emit(["\n".join(out_lines) + "\n"], args.out)
     return 0 if all_ok else 1
 
 

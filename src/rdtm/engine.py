@@ -163,9 +163,10 @@ class SeriesSolution(Record):
     refused); the inverse transform is sum of spectra[k] * t**k.
 
     A solution that ``solve_series`` returns, or ``truncated`` cuts, holds
-    packed spectra alone, with their Packing, and builds every tree of
-    ``spectra`` on first read; one made from trees packs them, with the
-    right-hand side, on first need (``packing``, ``packed``).  Equality,
+    packed spectra, with their Packing, and builds every tree of ``spectra``
+    on first read, but a prefix of a solution whose trees are built takes
+    those; one made from trees packs them, with the right-hand side, on
+    first need (``packing``, ``packed``).  Equality,
     hash, repr and pickle are those of (spec, spectra, order) either way.
     """
 
@@ -188,10 +189,14 @@ class SeriesSolution(Record):
         return sol
 
     def truncated(self, n: int) -> "SeriesSolution":
-        """The first n spectra, those of a solve at order n, sharing ``packing``."""
+        """The first n spectra, those of a solve at order n, sharing ``packing``
+        and, once this solution's ``spectra`` are built, their trees."""
         if type(n) is not int or not 1 <= n <= self.order:
             raise InvalidOrderError(f"a truncation order must be an integer from 1 to {self.order}, got {n!r}")
-        return self._solved(self.spec, self.packing, self.packed[:n])
+        sol = self._solved(self.spec, self.packing, self.packed[:n])
+        if self._trees is not None:
+            _set(sol, "_trees", self._trees[:n])
+        return sol
 
     def _values(self) -> tuple:
         return self.spec, self.spectra, self.order

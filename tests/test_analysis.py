@@ -21,6 +21,7 @@ from rdtm.analysis import (
     check_sweeps,
     evaluate_series,
     export_figure_data,
+    figure_rows,
     format_scientific,
     fraction_str,
     range_length,
@@ -978,6 +979,43 @@ class TestFigureData:
             export_figure_data(
                 sol, spec.exact, {"x": 1, "t": 0}, [("t", 0, 1, F(1, 2))], CTX
             )
+
+    @pytest.mark.parametrize("fixed, sweeps", [
+        ({"x": 1}, [("x", 0, 1, F(1, 2))]),
+        ({}, [("t", 0, 1, F(1, 2))]),
+        ({"x": F(1, 2), "z": 1}, [("t", 0, 1, F(1, 2))]),
+        ({"x": F(1, 2)}, [("t", 0, 1, 0)]),
+        ({"x": F(1, 2)}, [("t", 0, 1, F(1, 10**7))]),
+        ({"x": 0.5}, [("t", 0, 1, F(1, 2))]),
+        ({}, [(("x", "t"), 0, 1, F(1, 2))]),
+    ], ids=["over", "under", "unknown", "zero-step", "too-many-points", "float", "tied"])
+    def test_figure_rows_checks_before_returning(self, solved, fixed, sweeps):
+        """figure_rows raises the errors of export_figure_data when it is
+        called, not when its first row is read."""
+        spec, sol = solved(ModelId.EX3, 4)
+        with pytest.raises(GridError) as from_rows:
+            figure_rows(sol, spec.exact, fixed, sweeps, CTX)
+        with pytest.raises(GridError) as from_data:
+            export_figure_data(sol, spec.exact, fixed, sweeps, CTX)
+        assert str(from_rows.value) == str(from_data.value)
+
+    def test_figure_rows_computes_each_row_when_it_is_read(self, monkeypatch, solved):
+        spec, sol = solved(ModelId.EX1, 4)
+        sweeps = [("x", 0, 1, F(1, 2)), ("t", 0, 1, F(1, 3))]
+        calls = []
+        original = rdtm.separable.SeriesEvaluator.at
+
+        def counting(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "at", counting)
+        columns, rows = figure_rows(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+        assert calls == []
+        first = next(rows)
+        assert calls == [(0, 0)]
+        data = export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+        assert (columns, (first, *rows)) == (data.columns, data.raw_rows)
 
     @pytest.mark.parametrize("fixed", [{"z": 1}, {}], ids=["unknown-slice", "no-slice"])
     def test_tied_sweep_names_rejected(self, solved, fixed):

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import random
 import re
 import shlex
+import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,9 +15,11 @@ import pytest
 import rdtm.cli
 import rdtm.engine
 import rdtm.expr
+import rdtm.separable
 from rdtm.cli import main
-from rdtm.analysis import evaluate_series
-from rdtm.models import DEFAULT_TABLE_ORDER, ModelId
+from rdtm.analysis import evaluate_series, export_figure_data, fraction_str
+from rdtm.errors import PrecisionInsufficientError
+from rdtm.models import DEFAULT_TABLE_ORDER, ModelId, builtin_model
 from rdtm.packed import Packing
 from rdtm.parsing import MAX_DERIVATIVE_ORDER, MAX_GRID_POINTS, MAX_ORDER, parse_expr
 from rdtm.precision import MAX_DECIMAL_DIGITS, PrecisionContext, eval_precise
@@ -220,6 +225,22 @@ def test_demo_makes_one_packing_per_model(monkeypatch, capsys):
     code, _, err = run(capsys, "demo")
     assert code == 0, err
     assert len(made) == len(ModelId) == 3
+
+
+def test_demo_builds_each_spectrum_tree_once(monkeypatch, capsys):
+    """The checked prefix of each solve takes the trees that the solve's
+    V_0..V_3 lines built, one per spectrum of the three solves."""
+    calls = [0]
+    original = Packing.to_expr
+
+    def counting(self, p):
+        calls[0] += 1
+        return original(self, p)
+
+    monkeypatch.setattr(Packing, "to_expr", counting)
+    code, _, err = run(capsys, "demo")
+    assert code == 0, err
+    assert calls[0] == sum(DEFAULT_TABLE_ORDER.values()) == 44
 
 
 def test_demo_checks_print_the_lines_of_check(capsys):
@@ -664,6 +685,101 @@ def test_figure_json_holds_the_csv_cells(capsys):
     assert payload["columns"] == header.split(",") == ["x", "t", "series", "exact", "abs_error"]
     assert payload["order"] == 6
     assert payload["rows"] == [row.split(",") for row in rows]
+
+
+# (model, swept variables): one and two sweeps, and slices that bind t
+FIGURE_SHAPES = [
+    (ModelId.EX3, ("t",)),
+    (ModelId.EX3, ("x",)),
+    (ModelId.EX3, ("x", "t")),
+    (ModelId.EX1, ("x", "t")),
+    (ModelId.EX1, ("t", "y")),
+    (ModelId.EX1, ("y",)),
+]
+
+
+def _random_rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_figure_csv_is_that_of_the_figure_data(tmp_path, capsys, seed):
+    """The CSV that `rdtm figure` writes row by row is the text of
+    ``FigureData.to_csv``, on stdout and in an --out file alike."""
+    rng = random.Random(seed)
+    model, swept = FIGURE_SHAPES[seed % len(FIGURE_SHAPES)]
+    sig_digits = seed // 2 + 1
+    spec = builtin_model(model)
+    order = rng.randint(2, 8)
+    fixed = {name: _random_rational(rng) for name in (*spec.spatial_vars, "t") if name not in swept}
+    sweeps = []
+    for name in swept:
+        start, step = _random_rational(rng), F(1, rng.randint(1, 6))
+        sweeps.append((name, start, start + step * rng.randint(0, 4), step))
+    argv = ["figure", model.value, "--order", str(order), "--sig-digits", str(sig_digits)]
+    argv += ["--slice", ";".join(f"{name}={fraction_str(v)}" for name, v in fixed.items())] if fixed else []
+    for name, *bounds in sweeps:
+        argv += ["--sweep", f"{name}=" + ":".join(map(fraction_str, bounds))]
+    data = export_figure_data(rdtm.engine.solve_series(spec, order), spec.exact, fixed, sweeps)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, data.to_csv(sig_digits), "")
+    target = tmp_path / "figure.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_a_figure_whose_first_cell_fails_writes_nothing(monkeypatch, tmp_path, capsys, to_file):
+    def fail(self, index):
+        raise PrecisionInsufficientError("the first cell failed")
+
+    monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "at", fail)
+    target = tmp_path / "figure.csv"
+    argv = ("figure", "ex3", "--order", "4", "--slice", "x=1/2", "--sweep", "t=0:1:1/2")
+    argv += ("--out", str(target)) if to_file else ()
+    assert run(capsys, *argv) == (1, "", "error: the first cell failed\n")
+    assert not target.exists()
+
+
+def test_an_empty_figure_sweep_prints_the_header_alone(tmp_path, capsys):
+    argv = ("figure", "ex1", "--order", "4", "--slice", "y=1/2", "--sweep", "x=1:0:1/2", "--sweep", "t=0:1:1/2")
+    header = "x,t,series,exact,abs_error\n"
+    assert run(capsys, *argv) == (0, header, "")
+    target = tmp_path / "figure.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == header
+
+
+class _Discard:
+    """A stdout that drops its text."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+def test_a_figure_memory_does_not_grow_with_its_rows(monkeypatch):
+    """`rdtm figure` writes each CSV line as its row is computed: with the
+    text discarded, a 101x101 figure peaks less than 1 MB above an 11x11
+    one.  Holding every row and the whole text costs about 7 MB more."""
+
+    def figure_peak(n):
+        tracemalloc.start()
+        try:
+            code = main(["figure", "ex1", "--order", "4", "--slice", "y=1/2",
+                         "--sweep", f"x=1/{n}:1:1/{n}", "--sweep", f"t=1/{n}:1:1/{n}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    figure_peak(2)  # loads the modules a figure reads
+    assert figure_peak(101) - figure_peak(11) < 10**6
 
 
 def test_check_report_names_the_first_nonvanishing_residual_coefficient(solved):

@@ -726,6 +726,15 @@ class TestTruncated:
             assert prefix == given and prefix.render(ex.TEXT) == given.render(ex.TEXT)
             assert SeriesSolution(spec, sol.spectra, order).truncated(n) == given
 
+    def test_a_prefix_shares_the_trees_already_built(self):
+        """Once the solution's spectra are trees, a prefix takes them
+        rather than building its own again."""
+        sol = solve_series(load_problem("ex2"), 8)
+        spectra = sol.spectra
+        for n in (1, 5, 8):
+            prefix = sol.truncated(n)
+            assert all(prefix.spectra[k] is spectra[k] for k in range(n))
+
     @pytest.mark.parametrize("n", [0, -1, 5, 2.0, True, None, "2"])
     def test_an_order_outside_the_solution_is_refused(self, n):
         sol = solve_series(load_problem("ex3"), 4)

@@ -18,7 +18,10 @@ digits; the growing problem's solve at order 10 in the text and latex
 formats, at order 14 in the json and csv formats and at order 18, and its
 check at order 14; ex2's solve at order 20 in latex; ex3's check at
 order 40; the checks `demo` runs on a prefix of its solves, ex2 and ex3 at
-order 10; and ex1's check at order 2, whose residual report is vacuous.
+order 10; ex1's check at order 2, whose residual report is vacuous; and
+three figures, which are written row by row: ex1 on a 101x101 sweep at 6
+significant digits, ex3 on an empty sweep (the header alone), and ex1
+swept in x alone with y and t in the slice.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ EXTRA_COMMANDS = [
     ("check", "ex2", "--order", "10"),
     ("check", "ex3", "--order", "10"),
     ("check", "ex1", "--order", "2"),
+    ("figure", "ex1", "--order", "8", "--slice", "y=1/2", "--sweep", "x=1/101:1:1/101",
+     "--sweep", "t=1/101:1:1/101", "--sig-digits", "6"),
+    ("figure", "ex3", "--sweep", "x=1:0:1/2", "--sweep", "t=0:1:1/2"),
+    ("figure", "ex1", "--slice", "y=1/2;t=1/2", "--sweep", "x=0:1:1/2"),
 ]
 
 
