@@ -50,9 +50,18 @@ MAX_SIG_DIGITS = 6
 REPORT_PREC = 53
 
 
+def _range_bounds(start, stop, step) -> tuple:
+    """(start, stop, step) as Fractions, once step is positive."""
+    start, stop, step = _as_fractions((start, stop, step))
+    if step <= 0:
+        raise GridError(f"range step must be positive, got {step}")
+    return start, stop, step
+
+
 def rational_range(start, stop, step) -> tuple:
-    """Exact rationals start, start + step, ... through stop (none if stop < start)."""
-    value, stop, step = _as_fractions((start, stop, step))
+    """Exact rationals start, start + step, ... through stop (none if stop <
+    start); step must be positive."""
+    value, stop, step = _range_bounds(start, stop, step)
     values = []
     while value <= stop:
         values.append(value)
@@ -63,7 +72,7 @@ def rational_range(start, stop, step) -> tuple:
 def range_length(start, stop, step) -> int:
     """How many values rational_range(start, stop, step) yields, counted
     from the bounds alone; step must be positive."""
-    start, stop, step = _as_fractions((start, stop, step))
+    start, stop, step = _range_bounds(start, stop, step)
     return max(0, math.floor((stop - start) / step) + 1)
 
 

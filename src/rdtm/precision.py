@@ -15,13 +15,16 @@ the cell kernel ``separable`` as well.  Results are deterministic for fixed
 inputs and precision, so a caller that evaluates many points may pass one
 atom memo to every call and get the same bits.
 
-This module owns mpmath.  Every evaluation runs on ``libmp``, mpmath's
-raw-value arithmetic, which ``load_libmp`` loads at the first call without
-running the ``mpmath`` package: so ``table``, ``figure`` and ``demo`` never
-import the package, and ``solve`` and ``check``, which evaluate nothing,
-load neither.  ``mpmath`` itself is bound lazily and imported only when a
-public result is made an ``mpf``.  ``separable`` and ``analysis`` take both
-from here.
+This module owns mpmath.  Every evaluation runs on mpmath's raw-value
+arithmetic, its real-number kernel: ``load_libmp`` loads the four modules
+``mpmath/libmp/{backend,libintmath,libmpf,libelefun}.py`` at the first call,
+without running the ``mpmath`` package or ``mpmath/libmp/__init__.py``.  So
+``table``, ``figure`` and ``demo`` never import the package nor libmp's
+complex, interval, hypergeometric and gamma/zeta modules, and ``solve`` and
+``check``, which evaluate nothing, load none of it.  ``mpmath`` itself is
+bound lazily and imported only when a public result is made an ``mpf``; a
+later ``import mpmath`` in the same process reuses the kernel modules.
+``separable`` and ``analysis`` take both from here.
 """
 
 from __future__ import annotations
@@ -76,15 +79,28 @@ def _lazy_mpmath():
 mpmath, _MPMATH_PATH = _lazy_mpmath()
 
 
+# mpmath's real-number kernel, the modules of ``mpmath.libmp`` that rdtm
+# runs, in load order: each imports only the ones before it.  rdtm calls
+# functions of libmpf and libelefun alone.
+LIBMP_KERNEL = ("backend", "libintmath", "libmpf", "libelefun")
+
+
 @functools.cache
 def load_libmp():
-    """mpmath's ``libmp``, loaded by itself at the first call.
+    """The names of mpmath's real-number kernel, loaded at the first call.
 
-    It is registered as ``sys.modules["mpmath.libmp"]`` and set as the
-    ``libmp`` attribute of the lazy ``mpmath``, which keeps attributes set
-    before its load: a later ``import mpmath`` uses this module and makes no
-    second copy.  When mpmath was imported before rdtm, its own libmp
-    serves.  Reading ``mpmath.libmp`` instead would import the package.
+    Each module of ``LIBMP_KERNEL`` runs once, registered under its own
+    name ``mpmath.libmp.<name>``, and the package's ``__init__``, which
+    imports libmp's complex, interval, hypergeometric and gamma/zeta
+    modules too, does not run.  ``mpmath.libmp`` is registered as a lazy
+    module that holds the kernel modules as attributes, and is set as the
+    ``libmp`` attribute of the lazy ``mpmath``: a later ``import mpmath``
+    runs that ``__init__``, which finds the kernel in sys.modules and makes
+    no second copy.  The result is one namespace of the kernel's public
+    names, the same objects that ``mpmath.libmp`` re-exports.  A load that
+    fails part way removes every module it registered.  When mpmath was
+    imported before rdtm, its own libmp serves.  Reading ``mpmath.libmp``
+    instead would import the package.
     """
     libmp = sys.modules.get("mpmath.libmp")
     if libmp is not None:
@@ -92,16 +108,29 @@ def load_libmp():
     if _MPMATH_PATH is None:
         return importlib.import_module("mpmath.libmp")
     import importlib.machinery  # only this load needs it
+    import types
 
-    spec = importlib.machinery.PathFinder.find_spec("mpmath.libmp", _MPMATH_PATH)
-    libmp = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    find_spec = importlib.machinery.PathFinder.find_spec
+    spec = find_spec("mpmath.libmp", _MPMATH_PATH)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    package = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    registered = [spec.name]
+    names = {}
     try:
-        spec.loader.exec_module(libmp)
+        spec.loader.exec_module(package)
+        for name in LIBMP_KERNEL:
+            module_spec = find_spec(f"{spec.name}.{name}", spec.submodule_search_locations)
+            module = sys.modules[module_spec.name] = importlib.util.module_from_spec(module_spec)
+            registered.append(module_spec.name)
+            module_spec.loader.exec_module(module)
+            setattr(package, name, module)
+            names.update((key, value) for key, value in vars(module).items() if not key.startswith("_"))
     except BaseException:
-        del sys.modules[spec.name]
+        for name in registered:
+            sys.modules.pop(name, None)
         raise
-    mpmath.libmp = libmp
-    return libmp
+    mpmath.libmp = package
+    return types.SimpleNamespace(**names)
 
 
 class PrecisionContext(Record):

@@ -171,9 +171,10 @@ class TestErrorGrid:
             return lambda argument, *args: atom_calls.append((kind, argument, *args)) or fn(argument, *args)
 
         monkeypatch.setattr(rdtm.precision, "eval_number", counting)
+        libmp = rdtm.precision.load_libmp()  # where evaluation looks its atoms up
         for kind in ("exp", "sin", "cos"):
             name = "mpf_" + kind
-            monkeypatch.setattr(mpmath.libmp, name, recording(kind, getattr(mpmath.libmp, name)))
+            monkeypatch.setattr(libmp, name, recording(kind, getattr(libmp, name)))
         tenths = [F(i, 10) for i in range(1, 11)]
         grid = Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y"))
         sweeps = [("x", F(1, 10), 1, F(1, 10)), ("t", F(1, 10), 1, F(1, 10))]
@@ -520,6 +521,14 @@ class TestGridSize:
             start, stop = (F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2))
             step = F(rng.randint(1, 9), rng.randint(1, 9))
             assert range_length(start, stop, step) == len(rational_range(start, stop, step))
+
+    @pytest.mark.parametrize("function", [rational_range, range_length])
+    @pytest.mark.parametrize("start, stop, step", [(0, 1, 0), (0, 1, F(-1, 2)), (1, 0, 0), (1, 0, -1)])
+    def test_a_non_positive_step_is_refused(self, function, start, stop, step):
+        """Whatever the bounds; unchecked, rational_range(0, 1, 0) would
+        never end and range_length(0, 1, 0) would divide by zero."""
+        with pytest.raises(GridError, match="range step must be positive"):
+            function(start, stop, step)
 
     def test_limit(self):
         check_grid_size([MAX_GRID_POINTS])

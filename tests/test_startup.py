@@ -3,10 +3,13 @@
 `import rdtm.cli` must not import `dataclasses` (nor the `inspect` it pulls
 in), and `json` loads only for JSON output.  `solve` and `check` evaluate no
 number and load nothing of mpmath.  `table`, `figure` and `demo` load
-`mpmath.libmp` alone, never the `mpmath` package (whose `mpmath.ctx_mp`
-would then be loaded too), and a later `import mpmath` in the same process
-uses that libmp.  `mpmath` itself may sit in `sys.modules` as a lazy module
-that is not loaded yet.  These pin the start-up cost without a timing bound.
+mpmath's real-number kernel alone: the four modules `backend`, `libintmath`,
+`libmpf` and `libelefun` of `mpmath.libmp`, never its complex, interval,
+hypergeometric or gamma/zeta modules, nor the `mpmath` package (whose
+`mpmath.ctx_mp` would then be loaded too).  A later `import mpmath` in the
+same process uses those kernel modules.  `mpmath` and `mpmath.libmp` may
+sit in `sys.modules` as lazy modules that are not loaded yet.  These pin
+the start-up cost without a timing bound.
 """
 
 import ast
@@ -18,6 +21,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+KERNEL = {f"mpmath.libmp.{name}" for name in ("backend", "libintmath", "libmpf", "libelefun")}
+NEVER_LOADED = {f"mpmath.libmp.{name}" for name in ("libmpc", "libmpi", "libhyper", "gammazeta")} | {"mpmath.ctx_mp"}
 
 
 def run_python(script: str) -> str:
@@ -64,7 +69,8 @@ def test_symbolic_commands_never_load_mpmath(argv):
 
 
 def test_a_table_loads_mpmath():
-    assert "mpmath.libmp" in modules_after("table", "ex3", "--order", "6")
+    loaded = modules_after("table", "ex3", "--order", "6")
+    assert {name for name in loaded if name.startswith("mpmath")} == {"mpmath", "mpmath.libmp"} | KERNEL
 
 
 def test_json_output_loads_json():
@@ -78,23 +84,53 @@ def test_json_output_loads_json():
 ])
 def test_evaluating_commands_load_libmp_without_the_mpmath_package(argv):
     loaded = modules_after(*argv)
-    assert "mpmath.libmp" in loaded
-    assert "mpmath.ctx_mp" not in loaded
+    assert {name for name in loaded if name.startswith("mpmath.libmp.")} == KERNEL
+    assert NEVER_LOADED.isdisjoint(loaded)
 
 
 def test_mpmath_imported_after_a_table_uses_the_same_libmp():
     script = (
         "import sys\n"
-        "import rdtm.cli\n"
+        "import rdtm.cli, rdtm.precision\n"
         + quiet_main(["table", "ex3", "--order", "6"])
-        + "libmp = sys.modules['mpmath.libmp']\n"
+        + f"kernel = {{name: sys.modules[name] for name in {sorted(KERNEL)!r}}}\n"
         "import mpmath\n"
-        "assert mpmath.libmp is libmp is sys.modules['mpmath.libmp']\n"
-        "assert mpmath.mpf(1) + 1 == 2\n"
         "assert mpmath.nstr(mpmath.exp(1), 5) == '2.7183'\n"
+        "assert mpmath.mpf(1) + 1 == 2\n"
+        "assert mpmath.libmp is sys.modules['mpmath.libmp']\n"
+        "for name, module in kernel.items():\n"
+        "    assert sys.modules[name] is module is getattr(mpmath.libmp, name.rpartition('.')[2])\n"
+        "    assert sum(getattr(m, '__file__', None) == module.__file__ for m in list(sys.modules.values())) == 1\n"
+        "assert mpmath.libmp.mpf_add is rdtm.precision.load_libmp().mpf_add\n"
         "print('ok')\n"
     )
     assert run_python(script) == "ok\n"
+
+
+def test_a_kernel_load_that_fails_part_way_registers_nothing():
+    """libintmath's import of bisect fails, after backend has loaded: no
+    module of mpmath.libmp stays registered, and the next call loads the
+    kernel whole."""
+    script = (
+        "import sys\n"
+        "import rdtm.precision\n"
+        "bisect = sys.modules.pop('bisect', None)\n"
+        "sys.modules['bisect'] = None\n"
+        "try:\n"
+        "    rdtm.precision.load_libmp()\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the load did not fail')\n"
+        "del sys.modules['bisect']\n"
+        "if bisect is not None:\n"
+        "    sys.modules['bisect'] = bisect\n"
+        "print(sorted(name for name in sys.modules if name.startswith('mpmath.libmp')))\n"
+        "libmp = rdtm.precision.load_libmp()\n"
+        "print(libmp.to_str(libmp.mpf_exp(libmp.fone, 53, 'n'), 15))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('mpmath.libmp.')))\n"
+    )
+    assert run_python(script).splitlines() == ["[]", "2.71828182845905", str(sorted(KERNEL))]
 
 
 def test_a_table_after_import_mpmath_reuses_its_libmp():

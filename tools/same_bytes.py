@@ -21,7 +21,9 @@ order 40; the checks `demo` runs on a prefix of its solves, ex2 and ex3 at
 order 10; ex1's check at order 2, whose residual report is vacuous; and
 three figures, which are written row by row: ex1 on a 101x101 sweep at 6
 significant digits, ex3 on an empty sweep (the header alone), and ex1
-swept in x alone with y and t in the slice.
+swept in x alone with y and t in the slice; and, at 2000 digits, where
+libelefun's exp, sin and cos take their high-precision paths, an ex1 table
+on a 2x2 grid and an ex3 figure sliced at x = 1/3 and swept in t.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ EXTRA_COMMANDS = [
      "--sweep", "t=1/101:1:1/101", "--sig-digits", "6"),
     ("figure", "ex3", "--sweep", "x=1:0:1/2", "--sweep", "t=0:1:1/2"),
     ("figure", "ex1", "--slice", "y=1/2;t=1/2", "--sweep", "x=0:1:1/2"),
+    ("table", "ex1", "--order", "8", "--precision", "2000", "--grid", "t=1/10:1/5:1/10;x,y=1/2:1:1/2"),
+    ("figure", "ex3", "--order", "12", "--precision", "2000", "--slice", "x=1/3", "--sweep", "t=1/7:1:2/7"),
 ]
 
 
