@@ -132,15 +132,14 @@ def _cmd_solve(args) -> int:
     spectra, series = sol.render(ex.LATEX if args.format == "latex" else ex.TEXT, series=args.format != "csv")
     if args.format == "csv":
         rows = [("k", "spectrum"), *enumerate(spectra)]
-        _emit(["\n".join(_csv_line(row) for row in rows) + "\n"], args.out)
+        _emit((_csv_line(row) + "\n" for row in rows), args.out)
         return 0
     if args.format == "json":
         payload = {"name": spec.name, "order": sol.order, "spectra": spectra, "series": series}
         _emit_json(payload, args.out)
         return 0
-    lines = [f"V_{k} = {text}" for k, text in enumerate(spectra)]
-    lines.append(f"series = {series}")
-    _emit(["\n".join(lines) + "\n"], args.out)
+    names = [*(f"V_{k}" for k in range(sol.order)), "series"]
+    _emit((f"{name} = {text}\n" for name, text in zip(names, [*spectra, series])), args.out)
     return 0
 
 

@@ -28,8 +28,10 @@ SeriesSolution, which builds their trees when ``spectra`` is first read.
 Its series and its text come from the packed terms too: each term's sort
 key of ints (``Packing.terms``) with t^k in its place orders both V_k and
 the series, so ``to_expr`` and ``render`` make one sort and multiply or
-merge nothing.  ``render`` prints each term once, by the rules of the
-``expr`` printers, and ``residual_order_check`` reads the packed spectra.
+merge nothing.  ``render`` prints each term once, by the sum rule of the
+``expr`` printers, from its int numerator over V_k's denominator: only a
+tree's terms are Fractions.  ``residual_order_check`` reads the packed
+spectra.
 
 Everything is exact: spectra have rational coefficients, and both forms are
 canonical, so two runs produce structurally identical output and the order
@@ -235,7 +237,7 @@ class SeriesSolution(Record):
         with t^k inserted, and terms of different k are distinct: the series
         is one sort of all of them, with nothing multiplied out or merged."""
         packing = self.packing
-        return packing.tree(term for k, p in enumerate(self.packed) for term in packing.terms(p, k))
+        return packing.tree((p, k) for k, p in enumerate(self.packed))
 
     def render(self, printer, series=True) -> tuple:
         """(texts of the spectra, text of the series or None without
@@ -245,31 +247,34 @@ class SeriesSolution(Record):
         Each term is rendered once, from the packed spectra: the keys of
         the terms of V_k * t^k order V_k as well as the series, so each
         V_k's terms are sorted once for its text, and the series is one sort
-        of all of them, with the text of t^k among their factors."""
-        packing, t = self.packing, ex.Var(TIME_VAR)
-        # the Packing keeps each factor it makes, so an id names one factor here
-        texts = {}
+        of all of them, with the text of t^k among their factors.  A term's
+        sign and magnitude come from its int numerator over V_k's
+        denominator, once for both texts, and a series entry keeps only its
+        key and its text."""
+        packing, t, separator = self.packing, ex.Var(TIME_VAR), printer.separator
+        texts = {}  # the text of each (rank, exponent) pair of the keys
+
+        def factor_text(pair):
+            text = texts[pair] = printer.node(packing.factor(pair))
+            return text
+
         lines, entries = [], []
         for k, p in enumerate(self.packed):
             t_text = printer.node(t if k == 1 else ex.Power(t, k))
             terms = []
-            for key, coeff in sorted(packing.terms(p, k)):
-                parts = []
-                for factor in packing.factors(key):
-                    text = texts.get(id(factor))
-                    if text is None:
-                        text = texts[id(factor)] = printer.node(factor)
-                    parts.append(text)
+            for key, n in sorted(packing.terms(p, k)):
+                parts = [texts.get(pair) or factor_text(pair) for pair in zip(key[1::2], key[2::2])]
+                sign, magnitude = printer.coefficient(n, p.den)
                 if series:
-                    entries.append((key, coeff, printer.separator.join(parts)))
+                    entries.append((key, printer.term(sign, magnitude, separator.join(parts))))
                 if k:
                     parts.remove(t_text)
-                terms.append((coeff, printer.separator.join(parts)))
+                terms.append(printer.term(sign, magnitude, separator.join(parts)))
             lines.append(printer.sum(terms))
         if not series:
             return lines, None
         entries.sort()
-        return lines, printer.sum((coeff, body) for _, coeff, body in entries)
+        return lines, printer.sum(text for _, text in entries)
 
 
 def _monomials(e):

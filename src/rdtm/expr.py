@@ -28,14 +28,16 @@ denominator), which read canonical trees term by term with ``split_term``.
 A packed polynomial is already in canonical order once its terms are sorted
 by a key of ints that ``factor_order`` gives the ranks of, so it builds its
 tree term by term with ``build_term``, merging and sorting nothing again, and
-``engine.SeriesSolution.render`` prints its terms with the ``Printer`` rules
-that ``to_text`` (``TEXT``) and ``to_latex`` (``LATEX``) apply to a Product
-and a Sum.  Trees are the form of the parser, the printers, the evaluator
-and the reference fold ``engine.cauchy_product``.
+``engine.SeriesSolution.render`` prints its terms, int numerators over one
+denominator, by the one sum rule of ``Printer`` that ``to_text`` (``TEXT``)
+and ``to_latex`` (``LATEX``) apply to a tree.  Trees are the form of the
+parser, the printers, the evaluator and the reference fold
+``engine.cauchy_product``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -576,8 +578,6 @@ def _digits(value) -> str:
 
 
 def _text(e) -> str:
-    if isinstance(e, Rational):
-        return _digits(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Atom):
@@ -601,16 +601,7 @@ def to_latex(e) -> str:
     return _latex(_coerce(e))
 
 
-def _latex_frac(value: Fraction) -> str:
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{_digits(abs(value.numerator))}}}{{{_digits(value.denominator)}}}"
-
-
 def _latex(e) -> str:
-    if isinstance(e, Rational):
-        return _latex_frac(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Atom):
@@ -634,56 +625,73 @@ def _latex(e) -> str:
 
 
 class Printer:
-    """The rules by which one printer renders a Product and a Sum.
+    """The rules by which one printer renders a Rational, a Product and a Sum.
 
-    ``node`` renders any tree, ``number`` a coefficient, ``separator``
-    joins a monomial's factors and a coefficient to them, and ``group``
-    encloses a factor that is a Sum.  ``term`` and ``sum`` also serve a
-    caller that holds a sum as (coefficient, monomial text) pairs itself, as
-    ``engine.SeriesSolution.render`` does with packed spectra.
+    ``node`` renders any tree, ``fraction`` formats the texts of a
+    numerator and a denominator, ``separator`` joins a monomial's factors
+    and a coefficient to them, and ``group`` encloses a factor that is a Sum.
+
+    A sum has one rule: ``coefficient`` takes a term's sign once, from its
+    numerator, and reduces its magnitude by one gcd; ``term`` puts the sign,
+    the magnitude and the monomial's text together; ``sum`` joins the terms.
+    Trees go through it (``compound``; a Rational is a sum of one term with
+    no monomial), and so do the packed spectra, whose terms
+    ``engine.SeriesSolution.render`` holds as int numerators over the
+    spectrum's denominator, with no Fraction.
     """
 
-    __slots__ = ("node", "number", "separator", "group")
+    __slots__ = ("node", "fraction", "separator", "group")
 
-    def __init__(self, node, number, separator, group):
-        self.node, self.number, self.separator, self.group = node, number, separator, group
+    def __init__(self, node, fraction, separator, group):
+        self.node, self.fraction, self.separator, self.group = node, fraction, separator, group
 
     def monomial(self, factors) -> str:
         """The text of a monomial's factors, in the order given."""
         return self.separator.join(self.group.format(self.node(f)) if isinstance(f, Sum) else self.node(f)
                                    for f in factors)
 
-    def term(self, coeff, body) -> str:
-        """coeff times a monomial whose factors render as body ("" for none)."""
+    def coefficient(self, n, d) -> tuple:
+        """(sign, magnitude) of the coefficient n/d, d > 0: " - " or " + ",
+        and the text of |n/d| in lowest terms, "" for 1."""
+        sign = " + "
+        if n < 0:
+            sign, n = " - ", -n
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if n == d:
+            return sign, ""
+        return sign, _digits(n) if d == 1 else self.fraction.format(_digits(n), _digits(d))
+
+    def term(self, sign, magnitude, body) -> str:
+        """A term as it follows another in a sum: its ``coefficient`` sign
+        and magnitude times a monomial whose factors render as body ("" for
+        none)."""
         if not body:
-            return self.number(coeff)
-        if coeff == 1:
-            return body
-        if coeff == -1:
-            return f"-{body}"
-        return f"{self.number(coeff)}{self.separator}{body}"
+            return sign + (magnitude or "1")
+        if not magnitude:
+            return sign + body
+        return f"{sign}{magnitude}{self.separator}{body}"
 
     def sum(self, terms) -> str:
-        """A sum of (coefficient, monomial text) pairs in canonical order:
-        the first term as it is, every later one after " + ", or after " - "
-        with its coefficient negated; "0" for none."""
-        parts = []
-        for coeff, body in terms:
-            if not parts:
-                parts.append(self.term(coeff, body))
-            elif coeff < 0:
-                parts.append(" - " + self.term(-coeff, body))
-            else:
-                parts.append(" + " + self.term(coeff, body))
-        return "".join(parts) or self.number(0)
+        """A sum of ``term`` texts in canonical order: the first one without
+        its " + " and with its " - " as "-"; "0" for none."""
+        parts = list(terms)
+        if not parts:
+            return "0"
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(parts)
 
     def compound(self, e) -> str:
-        """A Product or a Sum."""
-        if isinstance(e, Product):
-            coeff, monomial = split_term(e)
-            return self.term(coeff, self.monomial(monomial))
-        return self.sum((coeff, self.monomial(monomial)) for coeff, monomial in map(split_term, e.terms))
+        """A Rational, a Product or a Sum."""
+        parts = []
+        for coeff, monomial in map(split_term, e.terms if isinstance(e, Sum) else (e,)):
+            sign, magnitude = self.coefficient(coeff.numerator, coeff.denominator)
+            parts.append(self.term(sign, magnitude, self.monomial(monomial)))
+        return self.sum(parts)
 
 
-TEXT = Printer(_text, _digits, "*", "({})")
-LATEX = Printer(_latex, _latex_frac, r" \, ", r"\left({}\right)")
+TEXT = Printer(_text, "{}/{}", "*", "({})")
+LATEX = Printer(_latex, r"\frac{{{}}}{{{}}}", r" \, ", r"\left({}\right)")

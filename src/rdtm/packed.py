@@ -18,9 +18,11 @@ exp group, and divides den and the numerators by their gcd, so equal
 polynomials are equal Polys.  An accumulator is brought to the lcm of its
 denominator and that of what is added into it, after which products and sums
 are of plain ints; it is made primitive once, when it is settled.  Fractions
-appear only at the boundary: ``from_expr`` packs a canonical tree, reading
-each coefficient's numerator and denominator, and ``terms`` reads a packed
-polynomial's terms back, one Fraction per term.
+appear only at the boundary with trees: ``from_expr`` packs a canonical
+tree, reading each coefficient's numerator and denominator, and ``tree``
+builds one, one Fraction per term.  ``terms`` reads a packed polynomial's
+terms back as int numerators over its ``den``, which is all a printer
+needs.
 
 The canonical term order is computed from the packed keys.  Every base a
 term can have (the fields, the exp arguments so far, and t) is ranked once
@@ -142,10 +144,10 @@ class Packing:
         return self.settled(Poly(den, groups))
 
     def terms(self, p, k=0):
-        """(key, coefficient) of every term of p * t^k, in no fixed order.
+        """(key, numerator) of every term of p * t^k, in no fixed order.
 
-        The coefficient is a Fraction.  The key is a flat tuple of ints:
-        the term's degree in the variables, t included, then a (rank,
+        The numerator is an int over ``p.den``.  The key is a flat tuple of
+        ints: the term's degree in the variables, t included, then a (rank,
         exponent) pair per factor in canonical factor order, a base's rank
         being its place in that order (``factors`` gives the factors back).
         Sorting by the keys is the canonical term order of ``expr``, and so
@@ -163,30 +165,33 @@ class Packing:
                         flat += rank, n
                         if is_var:
                             flat[0] += n
-                yield tuple(flat), Fraction(c, p.den)
+                yield tuple(flat), c
 
     def factors(self, key) -> list:
-        """The factors of a ``terms`` key, in key order: one per (rank,
-        exponent) pair, each made once per ranking."""
-        self._ranking()
-        made = self.made_factors
-        return [made.get(pair) or self._factor(pair) for pair in zip(key[1::2], key[2::2])]
+        """The factors of a ``terms`` key, in key order, one per (rank,
+        exponent) pair."""
+        return [self.factor(pair) for pair in zip(key[1::2], key[2::2])]
 
-    def _factor(self, pair) -> ex.Expr:
-        rank, n = pair
-        base = self.ranked[0][rank]
-        factor = self.made_factors[pair] = base if n == 1 else ex.Power(base, n)
+    def factor(self, pair) -> ex.Expr:
+        """The factor of one (rank, exponent) pair of a ``terms`` key, made
+        once per ranking."""
+        bases = self._ranking()[0]
+        factor = self.made_factors.get(pair)
+        if factor is None:
+            rank, n = pair
+            factor = self.made_factors[pair] = bases[rank] if n == 1 else ex.Power(bases[rank], n)
         return factor
 
     def to_expr(self, p) -> ex.Expr:
         """The canonical expanded tree of p."""
-        return self.tree(self.terms(p))
+        return self.tree([(p, 0)])
 
-    def tree(self, terms) -> ex.Expr:
-        """The canonical sum of ``terms`` pairs with distinct keys, of one
-        polynomial or of several: the terms in the order of their keys, each
-        built with its factors in key order."""
-        built = [ex.build_term(coeff, tuple(self.factors(key))) for key, coeff in sorted(terms)]
+    def tree(self, powers) -> ex.Expr:
+        """The canonical sum of p * t^k over the (p, k) pairs of ``powers``,
+        whose terms have distinct keys: the terms in the order of their
+        keys, each built with its factors in key order."""
+        terms = sorted((key, c, p.den) for p, k in powers for key, c in self.terms(p, k))
+        built = [ex.build_term(Fraction(c, den), tuple(self.factors(key))) for key, c, den in terms]
         if len(built) == 1:
             return built[0]
         return ex.Sum(tuple(built)) if built else ex.ZERO

@@ -667,12 +667,29 @@ def test_text_outside_the_lexicon_is_a_clean_error(tmp_path, capsys, rhs, col, m
     assert run(capsys, "solve", str(path)) == (1, "", f"error: line 3, col {col}: {message}\n")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", ["text", "json", "latex", "csv"])
 def test_a_coefficient_past_the_digit_limit_is_a_clean_error(tmp_path, capsys, fmt):
-    path = tmp_path / "big.pde"
-    path.write_text(_problem("0", init="10^5000"))
+    """A numerator or a denominator past the limit ends the solve before its
+    first line: exit 1, nothing on stdout, and no --out file."""
     message = "error: a coefficient or exponent has more than 4300 digits, the limit for converting an integer to text\n"
-    assert run(capsys, "solve", str(path), "--format", fmt) == (1, "", message)
+    target = tmp_path / "out.txt"
+    for init in ("10^5000", "1/10^5000"):
+        path = tmp_path / "big.pde"
+        path.write_text(_problem("0", init=init))
+        assert run(capsys, "solve", str(path), "--format", fmt) == (1, "", message)
+        assert run(capsys, "solve", str(path), "--format", fmt, "--out", str(target)) == (1, "", message)
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_solve_out_writes_the_stdout_bytes(tmp_path, capsys, fmt):
+    """`solve --out` writes the lines that stdout gets, byte for byte."""
+    argv = ("solve", str(GROWING_PDE), "--order", "14", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.count("\n") == 15
+    target = tmp_path / "solve.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_figure_json_holds_the_csv_cells(capsys):

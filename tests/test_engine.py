@@ -660,6 +660,30 @@ class TestPackedBoundary:
         for index in range(25):
             assert_packed_boundary(solve_series(_random_spec(rng, index), 6))
 
+    @pytest.mark.parametrize("fields, text, latex", [
+        ("equation: D(u,t,2) = -u; init: -x + 2*x^2 - 3/2*x^3; init_t: 1 - 7*x;",
+         ["-x + 2*x^2 - 3/2*x^3", "1 - 7*x", "1/2*x - x^2 + 3/4*x^3", "-1/6 + 7/6*x",
+          "t - x - 7*t*x + 2*x^2 + 1/2*t^2*x - 1/6*t^3 - 3/2*x^3 - t^2*x^2 + 7/6*t^3*x + 3/4*t^2*x^3"],
+         [r"-x + 2 \, x^{2} - \frac{3}{2} \, x^{3}", r"1 - 7 \, x",
+          r"\frac{1}{2} \, x - x^{2} + \frac{3}{4} \, x^{3}", r"-\frac{1}{6} + \frac{7}{6} \, x",
+          r"t - x - 7 \, t \, x + 2 \, x^{2} + \frac{1}{2} \, t^{2} \, x - \frac{1}{6} \, t^{3} - \frac{3}{2} \, x^{3}"
+          r" - t^{2} \, x^{2} + \frac{7}{6} \, t^{3} \, x + \frac{3}{4} \, t^{2} \, x^{3}"]),
+        ("equation: D(u,t,2) = 0; init: -1; init_t: 5/2;",
+         ["-1", "5/2", "0", "0", "-1 + 5/2*t"],
+         ["-1", r"\frac{5}{2}", "0", "0", r"-1 + \frac{5}{2} \, t"]),
+        ("equation: D(u,t,2) = u; init: 0; init_t: 0;", ["0"] * 5, ["0"] * 5),
+    ], ids=["signs", "constants", "zero"])
+    def test_the_printing_rule(self, fields, text, latex):
+        """Packed terms print as the trees do: a leading negative term,
+        coefficients of magnitude 1 with and without a monomial, integer and
+        fractional magnitudes, constant-only and all-zero spectra."""
+        sol = solve_series(parse_spec_file(f'pde "p" {{ vars: x; {fields} }}'), 4)
+        assert_packed_boundary(sol)
+        for printer, expected in ((ex.TEXT, text), (ex.LATEX, latex)):
+            spectra, series = sol.render(printer)
+            assert spectra == [printer.node(v) for v in sol.spectra] == expected[:-1]
+            assert series == printer.node(sol.to_expr()) == expected[-1]
+
     def test_solutions_from_trees_render_the_same(self):
         spec = load_problem("growing")
         sol = solve_series(spec, 10)

@@ -16,7 +16,9 @@ table and as a figure at 50 and 200 digits; a few precision edge cases;
 tables and a figure in the json and latex formats at 1, 3 and 6 significant
 digits; the growing problem's solve at order 10 in the text and latex
 formats, at order 14 in the json and csv formats and at order 18, and its
-check at order 14; ex2's solve at order 20 in latex; ex3's check at
+check at order 14; the rational test problem's solve at order 12 in the
+text and latex formats, whose coefficients are negative and fractional next
+to sin, cos and exp factors; ex2's solve at order 20 in latex; ex3's check at
 order 40; the checks `demo` runs on a prefix of its solves, ex2 and ex3 at
 order 10; ex1's check at order 2, whose residual report is vacuous; and
 three figures, which are written row by row: ex1 on a 101x101 sweep at 6
@@ -67,6 +69,8 @@ EXTRA_COMMANDS = [
     ("solve", "perfbench/problems/growing.pde", "--order", "18"),
     ("solve", "perfbench/problems/growing.pde", "--order", "14", "--format", "json"),
     ("solve", "perfbench/problems/growing.pde", "--order", "14", "--format", "csv"),
+    ("solve", "tests/problems/rational.pde", "--order", "12"),
+    ("solve", "tests/problems/rational.pde", "--order", "12", "--format", "latex"),
     ("solve", "ex2", "--order", "20", "--format", "latex"),
     ("check", "ex3", "--order", "40"),
     ("check", "ex2", "--order", "10"),
