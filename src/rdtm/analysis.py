@@ -291,12 +291,11 @@ def residual_order_check(spec, sol: SeriesSolution) -> int:
 
     The series and the residual are graded, one packed polynomial per
     nonzero t-degree (``_t_graded``): V_k, as the solution holds it packed
-    (``SeriesSolution.packed``, of the solve's own Packing when the solve
-    made the solution), sits at degree k, and each
-    derivative image of the series is one derivative of a memoized image of
-    one order less, d/dt taking degree d to d - 1 times d.  Products keep
-    only the degree pairs below N = sol.order, so those of the right-hand
-    side cost O(N^2) polynomial products.  Only when every coefficient below
+    (``SeriesSolution.packed``), sits at degree k, and each derivative image
+    of the series is one derivative of a memoized image of one order less,
+    d/dt taking degree d to d - 1 times d.  Products keep only the degree
+    pairs below N = sol.order, so those of the right-hand side cost O(N^2)
+    polynomial products.  Only when every coefficient below
     t^N vanishes, and the residual's t-degree D reaches N, is it formed once
     more with the bound D + 1, so the first nonzero coefficient above t^N is
     still found.  The return value is the same as that of a full expansion in

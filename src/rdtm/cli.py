@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import expr as ex
@@ -28,7 +29,6 @@ from .analysis import (
     absolute_error_grid,
     check_bindings,
     check_sweeps,
-    export_figure_data,
     figure_cells,
     figure_csv_lines,
     figure_rows,
@@ -116,9 +116,11 @@ def _emit(pieces, out_path):
 
 
 def _emit_json(payload, out_path):
+    """``_emit`` the text of ``json.dumps(payload, indent=2)`` and a newline,
+    as the encoder yields its chunks: no copy of the whole document is made."""
     import json  # only --format json needs it
 
-    _emit([json.dumps(payload, indent=2) + "\n"], out_path)
+    _emit(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +195,16 @@ def _cmd_figure(args) -> int:
     order = DEFAULT_SOLVE_ORDER if order is None else order
     ctx = PrecisionContext(args.precision)
     sol = solve_series(spec, order)
+    columns, rows = figure_rows(sol, spec.exact, slice_bindings, sweeps, ctx)
     if args.format == "json":
-        data = export_figure_data(sol, spec.exact, slice_bindings, sweeps, ctx)
         payload = {
             "name": spec.name,
             "order": sol.order,
-            "columns": list(data.columns),
-            "rows": [figure_cells(row, args.sig_digits) for row in data.raw_rows],
+            "columns": list(columns),
+            "rows": [figure_cells(row, args.sig_digits) for row in rows],
         }
         _emit_json(payload, args.out)
         return 0
-    columns, rows = figure_rows(sol, spec.exact, slice_bindings, sweeps, ctx)
     _emit(figure_csv_lines(columns, rows, args.sig_digits), args.out)
     return 0
 

@@ -24,7 +24,8 @@ rules of exp, sin and cos, a product of monomials is one integer addition,
 and dividing by (k+1)(k+2) scales the denominator.  Expression trees and
 Fractions appear only at the boundary: the initial spectra and the
 coefficients are packed once, and a solve's spectra stay packed in its
-SeriesSolution, which builds their trees when ``spectra`` is first read.
+SeriesSolution, which builds their trees when ``spectra`` is first read
+(one made from trees packs them when it is made, so every solution is packed).
 Its series and its text come from the packed terms too: each term's sort
 key of ints (``Packing.terms``) with t^k in its place orders both V_k and
 the series, so ``to_expr`` and ``render`` make one sort and multiply or
@@ -164,15 +165,16 @@ class SeriesSolution(Record):
     trees as every consumer reads them (a spectrum that contains t is
     refused); the inverse transform is sum of spectra[k] * t**k.
 
-    A solution that ``solve_series`` returns, or ``truncated`` cuts, holds
-    packed spectra, with their Packing, and builds every tree of ``spectra``
-    on first read, but a prefix of a solution whose trees are built takes
-    those; one made from trees packs them, with the right-hand side, on
-    first need (``packing``, ``packed``).  Equality,
-    hash, repr and pickle are those of (spec, spectra, order) either way.
+    Every solution holds its spectra packed: ``packed``, Polys of
+    ``packing``, whose fields cover the right-hand side.  One made from
+    trees packs them, with the right-hand side, when it is made (an
+    unexpanded spectrum is an ``UnsupportedExpressionError``) and keeps the
+    trees; one that ``solve_series`` returns, or ``truncated`` cuts, builds
+    the trees of ``spectra`` on first read.  Equality, hash, repr and
+    pickle are those of (spec, spectra, order).
     """
 
-    __slots__ = ("spec", "order", "_trees", "_packing", "_packed")
+    __slots__ = ("spec", "order", "packing", "packed", "_trees")
 
     def __init__(self, spec: PdeSpec, spectra, order: int):
         if type(order) is not int:
@@ -181,13 +183,16 @@ class SeriesSolution(Record):
         if len(spectra) != order:
             raise InvalidOrderError(f"expected {order} spectra, got {len(spectra)}")
         _check_t_free(spectra)
-        self._assign(spec=spec, order=order, _trees=spectra, _packing=None, _packed=None)
+        packing = Packing((spec.rhs, *spectra))
+        packed = tuple(map(packing.from_expr, spectra))
+        self._assign(spec=spec, order=order, packing=packing, packed=packed, _trees=spectra)
 
     @classmethod
-    def _solved(cls, spec, packing, packed):
-        """The solution whose spectra are ``packed``, Polys of ``packing``."""
+    def _solved(cls, spec, packing, packed, trees=None):
+        """The solution whose spectra are ``packed``, Polys of ``packing``,
+        with ``trees`` as the trees of ``spectra`` if they are built."""
         sol = cls.__new__(cls)
-        sol._assign(spec=spec, order=len(packed), _trees=None, _packing=packing, _packed=tuple(packed))
+        sol._assign(spec=spec, order=len(packed), packing=packing, packed=tuple(packed), _trees=trees)
         return sol
 
     def truncated(self, n: int) -> "SeriesSolution":
@@ -195,10 +200,8 @@ class SeriesSolution(Record):
         and, once this solution's ``spectra`` are built, their trees."""
         if type(n) is not int or not 1 <= n <= self.order:
             raise InvalidOrderError(f"a truncation order must be an integer from 1 to {self.order}, got {n!r}")
-        sol = self._solved(self.spec, self.packing, self.packed[:n])
-        if self._trees is not None:
-            _set(sol, "_trees", self._trees[:n])
-        return sol
+        trees = None if self._trees is None else self._trees[:n]
+        return self._solved(self.spec, self.packing, self.packed[:n], trees)
 
     def _values(self) -> tuple:
         return self.spec, self.spectra, self.order
@@ -209,26 +212,8 @@ class SeriesSolution(Record):
     @property
     def spectra(self) -> tuple:
         if self._trees is None:
-            _set(self, "_trees", tuple(map(self._packing.to_expr, self._packed)))
+            _set(self, "_trees", tuple(map(self.packing.to_expr, self.packed)))
         return self._trees
-
-    @property
-    def packing(self) -> Packing:
-        """The Packing of ``packed``; its fields cover the right-hand side."""
-        self._pack()
-        return self._packing
-
-    @property
-    def packed(self) -> tuple:
-        """The spectra as Polys of ``packing``."""
-        self._pack()
-        return self._packed
-
-    def _pack(self) -> None:
-        if self._packing is None:
-            packing = Packing((self.spec.rhs, *self._trees))
-            _set(self, "_packed", tuple(map(packing.from_expr, self._trees)))
-            _set(self, "_packing", packing)
 
     def to_expr(self) -> ex.Expr:
         """Truncated series sum(V_k * t^k) as a canonical expanded expression.
@@ -236,8 +221,7 @@ class SeriesSolution(Record):
         The spectra are t-free, so the terms of V_k * t^k are those of V_k
         with t^k inserted, and terms of different k are distinct: the series
         is one sort of all of them, with nothing multiplied out or merged."""
-        packing = self.packing
-        return packing.tree((p, k) for k, p in enumerate(self.packed))
+        return self.packing.tree((p, k) for k, p in enumerate(self.packed))
 
     def render(self, printer, series=True) -> tuple:
         """(texts of the spectra, text of the series or None without

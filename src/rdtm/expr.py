@@ -19,8 +19,7 @@ tree, and no caller re-canonicalizes one.  ``simplify`` runs only where a raw
 tree comes in: the parser, ``PdeSpec``, ``RecurrenceTerm`` and the public
 entry points (``simplify``, ``expand``, ``differentiate``, ``substitute``,
 ``precision.eval_precise``).  ``mul_expanded``, ``add_expanded``,
-``build_term``, ``precision.eval_number`` and ``precision.eval_canonical``
-require canonical input.
+``build_term`` and ``precision.eval_number`` require canonical input.
 
 The recurrence and the residual check do not multiply trees: they work on
 packed sparse polynomials (``rdtm.packed``, integer numerators over one

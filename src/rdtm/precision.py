@@ -7,13 +7,14 @@ that the caller passes: ``PrecisionContext.prec``, the context's decimal
 digits plus guard digits in bits, as ``mpmath.workdps`` would set them.  No
 evaluation reads or sets mpmath's global context (``fraction_to_mpf``, a
 conversion for callers that work at the ambient precision, is the one
-function that reads it).  Values stay raw ``libmp`` tuples, and ``mpf``
-objects are made only for the public results (``eval_canonical``,
-``eval_precise``).  ``combine``, the rule for a product or sum of exact and
-rounded values, and ``to_raw``, the one Fraction-to-raw conversion, serve
-the cell kernel ``separable`` as well.  Results are deterministic for fixed
-inputs and precision, so a caller that evaluates many points may pass one
-atom memo to every call and get the same bits.
+function that reads it).  Values stay raw ``libmp`` tuples, and an ``mpf``
+is made only for the public result of ``eval_precise``, the one door for a
+tree that is not canonical.  ``combine``, the rule for a product or sum of
+exact and rounded values, and ``to_raw``, the one Fraction-to-raw
+conversion, serve the cell kernel ``separable`` as well.  Results are
+deterministic for fixed inputs and precision, so a caller that evaluates
+many points may pass one atom memo to every ``eval_number`` call and get
+the same bits.
 
 This module owns mpmath.  Every evaluation runs on mpmath's raw-value
 arithmetic, its real-number kernel: ``load_libmp`` loads the four modules
@@ -42,7 +43,6 @@ from .record import Record
 __all__ = [
     "PrecisionContext",
     "eval_precise",
-    "eval_canonical",
     "eval_number",
     "fraction_to_mpf",
     "is_exact",
@@ -255,13 +255,7 @@ def combine(node, parts, prec: int):
 
 def eval_precise(e, point, ctx: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """Value of e at an exact rational point, correct to within
-    10**-(decimal_digits - 2) relative error.  Accepts any expression tree."""
-    return eval_canonical(ex.simplify(e), point, ctx)
-
-
-def eval_canonical(e, point, ctx: PrecisionContext = PrecisionContext(), atoms=None) -> mpmath.mpf:
-    """``eval_precise`` of a canonical expression, evaluated as given, so a
-    caller that evaluates one expression at many points simplifies it once
-    (and may share an ``atoms`` memo, as in ``eval_number``)."""
+    10**-(decimal_digits - 2) relative error.  Accepts any expression tree:
+    ``eval_number`` of its canonical form, made an ``mpf``."""
     prec = ctx.prec
-    return mpmath.mp.make_mpf(to_raw(eval_number(e, point, prec, atoms), prec))
+    return mpmath.mp.make_mpf(to_raw(eval_number(ex.simplify(e), point, prec), prec))

@@ -43,7 +43,7 @@ def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContex
     ``ExactSplit``, and one SeriesEvaluator serve every cell.  Both values
     are raw mpf tuples at ``ctx.prec`` bits, the series as
     ``analysis.evaluate_series`` and the exact value as
-    ``precision.eval_canonical`` compute them at the cell's point."""
+    ``precision.eval_precise`` compute them at the cell's point."""
     prec = ctx.prec
     exact = ex.simplify(exact)
     evaluator = SeriesEvaluator(sol, axes, fixed, prec)
@@ -71,8 +71,8 @@ class ExactSplit:
     reads several axes, such as exp(x*t), is evaluated in every cell.  So
     each value is the one that ``eval_number`` returns for its subtree at
     the cell's point, with ``eval_number``'s operations in its order, and
-    every cell is bit-identical to ``eval_canonical``.  A value is kept only
-    when another axis varies, so that its key recurs.
+    every cell is bit-identical to ``eval_number`` of the whole tree.  A
+    value is kept only when another axis varies, so that its key recurs.
 
     The functions that ``split`` returns refer to no function that refers
     back to them, so the memos are freed with the last cell, not by the

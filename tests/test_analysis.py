@@ -43,7 +43,7 @@ from rdtm.expr import ZERO, Product, Sum, Var, deriv_sym, rational, simplify, su
 from rdtm.models import DEFAULT_TABLE_GRID, ModelId
 from rdtm.packed import Packing
 from rdtm.parsing import MAX_GRID_POINTS, parse_expr
-from rdtm.precision import PrecisionContext, eval_canonical, eval_number, fraction_to_mpf
+from rdtm.precision import PrecisionContext, eval_number, eval_precise, fraction_to_mpf
 from rdtm.specfile import parse_spec_file
 
 from oracles import (
@@ -365,7 +365,7 @@ def lone_cell(sol, exact, point, ctx):
     oracle that reuses nothing."""
     series = evaluate_series(sol, point, ctx)
     assert series == lone_series_value(sol, point, ctx)
-    value = eval_canonical(exact, point, ctx)
+    value = eval_precise(exact, point, ctx)
     return series, value, abs(series - value)
 
 
@@ -441,7 +441,7 @@ class TestSeparableEvaluation:
                 absolute_error_grid(sol, spec.exact, default_grid(ModelId.EX1), CTX),
                 export_figure_data(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX),
                 evaluate_series(sol, point, CTX),
-                eval_canonical(exact, point, CTX),
+                eval_precise(exact, point, CTX),
             )
 
         want = run()
@@ -779,10 +779,12 @@ class TestTruncatedResidual:
             SeriesSolution(spec, tuple(spectra), 6)
 
     def test_an_unexpanded_spectrum_is_refused(self, solved):
-        """Spectra are packed term by term, so a factor that is a sum is an
-        error, never a KeyError."""
+        """Spectra are packed term by term when the solution is made, so a
+        factor that is a sum is an error there, never a KeyError."""
         spec, sol = solved(ModelId.EX3, 6)
         spectra = (parse_expr("x*(1 + x)", ("x",)), *sol.spectra[1:])
+        with pytest.raises(UnsupportedExpressionError, match=r"cannot pack 1 \+ x"):
+            SeriesSolution(spec, spectra, 6)
         with pytest.raises(UnsupportedExpressionError, match=r"cannot pack 1 \+ x"):
             residual_order_check(spec, SeriesSolution(spec, spectra, 6))
 

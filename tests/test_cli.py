@@ -17,7 +17,7 @@ import rdtm.engine
 import rdtm.expr
 import rdtm.separable
 from rdtm.cli import main
-from rdtm.analysis import evaluate_series, export_figure_data, fraction_str
+from rdtm.analysis import evaluate_series, export_figure_data, figure_cells, fraction_str
 from rdtm.errors import PrecisionInsufficientError
 from rdtm.models import DEFAULT_TABLE_ORDER, ModelId, builtin_model
 from rdtm.packed import Packing
@@ -722,7 +722,8 @@ def _random_rational(rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_figure_csv_is_that_of_the_figure_data(tmp_path, capsys, seed):
     """The CSV that `rdtm figure` writes row by row is the text of
-    ``FigureData.to_csv``, on stdout and in an --out file alike."""
+    ``FigureData.to_csv``, and its JSON rows are the cells of the same raw
+    rows, on stdout and in an --out file alike."""
     rng = random.Random(seed)
     model, swept = FIGURE_SHAPES[seed % len(FIGURE_SHAPES)]
     sig_digits = seed // 2 + 1
@@ -738,11 +739,18 @@ def test_figure_csv_is_that_of_the_figure_data(tmp_path, capsys, seed):
     for name, *bounds in sweeps:
         argv += ["--sweep", f"{name}=" + ":".join(map(fraction_str, bounds))]
     data = export_figure_data(rdtm.engine.solve_series(spec, order), spec.exact, fixed, sweeps)
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (0, data.to_csv(sig_digits), "")
-    target = tmp_path / "figure.csv"
-    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
-    assert target.read_bytes() == out.encode()
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert out == data.to_csv(sig_digits)
+        else:
+            payload = json.loads(out)
+            assert payload["columns"] == list(data.columns)
+            assert payload["rows"] == [figure_cells(row, sig_digits) for row in data.raw_rows]
+        target = tmp_path / f"figure.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
