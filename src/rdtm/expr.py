@@ -272,6 +272,11 @@ def _first_unsupported(e):
 
 
 def _canon_atom(kind, argument) -> Expr:
+    """Canonical exp, sin or cos of ``argument``.  sin and cos take the
+    argument whose first term, in canonical order, has a positive
+    coefficient: sin(-a) is -sin(a) and cos(-a) is cos(a), so the two
+    forms of one value are one tree.  Only the first term chooses, so
+    sin(1 - x) stays as it is."""
     if kind not in ATOM_KINDS:
         raise ValueError(f"unknown atom kind {kind!r}")
     arg = expand(argument)
@@ -286,6 +291,9 @@ def _canon_atom(kind, argument) -> Expr:
         )
     if arg == ZERO:
         return ZERO if kind == "sin" else ONE
+    if kind != "exp" and split_term(addends(arg)[0])[0] < 0:
+        negated = Atom(kind, mul_expanded(_MINUS_ONE, arg))
+        return build_term(-1, (negated,)) if kind == "sin" else negated
     return Atom(kind, arg)
 
 

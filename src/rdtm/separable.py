@@ -1,13 +1,16 @@
 """The cell kernel of error tables and figure data.
 
 ``cells`` yields the series value and the exact value at every cell of a
-cartesian grid.  Both are separable: ``SeriesEvaluator`` evaluates each
-spectrum once per spatial point and each power of t once per t, and
-``ExactSplit`` evaluates each subtree of the exact solution once per value
-of the one axis it reads.  Every value is bit-identical to evaluating its
-point alone.  The kernel works on raw ``libmp`` values at the one precision
-in bits that its caller passes, with the ``libmp`` that
-``precision.load_libmp`` loads, and never touches mpmath's global context.
+cartesian grid.  Both are separable, and one rule, ``_per_axes``, decides
+what is kept: a value that reads only some axes is computed once per
+distinct index on those axes, and kept only when an axis it does not read
+varies, so that its key recurs.  ``SeriesEvaluator`` so evaluates the
+spectra per spatial point and the powers of t per t, and ``_exact_at``
+each subtree of the exact solution per index on the axes it reads.  Every
+value is bit-identical to evaluating its point alone.  The kernel works on
+raw ``libmp`` values at the one precision in bits that its caller passes,
+with the ``libmp`` that ``precision.load_libmp`` loads, and never touches
+mpmath's global context.
 
 Only ``table``, ``figure`` and ``demo`` evaluate cells, so ``analysis``
 imports this module at the first evaluation, and the other commands do
@@ -22,6 +25,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 
 from . import expr as ex
 from . import precision
@@ -30,7 +34,7 @@ from .errors import UnboundVariableError
 from .parsing import TIME_VAR
 from .precision import PrecisionContext, is_exact, load_libmp, to_raw
 
-__all__ = ["SeriesEvaluator", "ExactSplit", "cells"]
+__all__ = ["SeriesEvaluator", "cells"]
 
 libmp = load_libmp()
 
@@ -40,14 +44,13 @@ def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContex
     cartesian product of ``axes``, row-major.  ``axes`` is a sequence of
     (variables, values): a coordinate binds every variable of its axis, and
     ``fixed`` binds the others.  One simplified ``exact``, split once by
-    ``ExactSplit``, and one SeriesEvaluator serve every cell.  Both values
+    ``_exact_at``, and one SeriesEvaluator serve every cell.  Both values
     are raw mpf tuples at ``ctx.prec`` bits, the series as
     ``analysis.evaluate_series`` and the exact value as
     ``precision.eval_precise`` compute them at the cell's point."""
     prec = ctx.prec
-    exact = ex.simplify(exact)
     evaluator = SeriesEvaluator(sol, axes, fixed, prec)
-    exact_at = ExactSplit(axes, fixed, prec, evaluator.atoms).split(exact)
+    exact_at = _exact_at(ex.simplify(exact), axes, fixed, prec, evaluator.atoms)
     values = [values for _, values in axes]
     indices = [range(len(v)) for v in values]
     # A tuple built from an iterator is allocated long and shrunk, and once
@@ -57,61 +60,73 @@ def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContex
         yield coords, evaluator.at(index), to_raw(exact_at(index), prec)
 
 
-class ExactSplit:
-    """The exact solution at the cells of ``cells``: ``split(exact)`` is a
-    function of a cell's axis indices that returns
-    ``eval_number(exact, point, prec)`` there.
+def _per_axes(axes, read, compute):
+    """``compute``, a function of a cell's axis indices that reads only the
+    axes in ``read``, memoized by their indices when an axis outside
+    ``read`` varies; otherwise ``compute`` itself, since a memo whose key
+    never recurs would only hold memory.  A memo lives as long as the
+    function returned.  The functions are partials of module functions,
+    so they refer to no object that refers back to them and are freed with
+    the last cell, not by the cycle collector."""
+    if not any(len(values) > 1 for a, (_, values) in enumerate(axes) if a not in read):
+        return compute
+    # One index, or a tuple of several; no tuple is built from an iterator
+    # per cell (see cells).
+    key = operator.itemgetter(*read) if read else _no_key
+    return partial(_memoized, {}, key, compute)
 
-    The canonical tree is split once, by the axes its subtrees read.  A
-    subtree whose free variables all lie in one axis, or in ``fixed``, is
-    evaluated by ``eval_number`` once per value of that axis (once, for none).
-    A Product or Sum that reads several axes splits each of its children
-    and folds their values at the cell with ``precision.combine``, the rule
-    ``eval_number`` itself applies to such a node.  Any other node that
-    reads several axes, such as exp(x*t), is evaluated in every cell.  So
-    each value is the one that ``eval_number`` returns for its subtree at
-    the cell's point, with ``eval_number``'s operations in its order, and
-    every cell is bit-identical to ``eval_number`` of the whole tree.  A
-    value is kept only when another axis varies, so that its key recurs.
 
-    The functions that ``split`` returns refer to no function that refers
-    back to them, so the memos are freed with the last cell, not by the
-    cycle collector.
+def _memoized(memo, key, compute, index):
+    k = key(index)
+    value = memo.get(k)
+    if value is None:
+        value = memo[k] = compute(index)
+    return value
+
+
+def _no_key(index):
+    return None
+
+
+def _point(axes, fixed, read, index):
+    """The bindings of the cell at ``index`` that a value reading the axes
+    in ``read`` needs: ``fixed``, and every variable of those axes."""
+    point = dict(fixed)
+    for a in read:
+        names, values = axes[a]
+        point.update(dict.fromkeys(names, values[index[a]]))
+    return point
+
+
+def _reading(axes, names) -> list:
+    """The indices, in order, of the axes that bind any of ``names``."""
+    return [a for a, (bound, _) in enumerate(axes) if not names.isdisjoint(bound)]
+
+
+def _exact_at(node, axes, fixed, prec, atoms):
+    """A function of a cell's axis indices that returns
+    ``eval_number(node, point, prec, atoms)`` at the cell's point.  A
+    Product or Sum that reads several axes folds its children's values at
+    the cell with ``precision.combine``, the rule ``eval_number`` itself
+    applies to such a node, so every cell is bit-identical to
+    ``eval_number`` of the whole tree.  Every subtree is kept by
+    ``_per_axes``: ex1's exp(x*y), for one, once per (x, y) when t is swept
+    too; ex2's exp(t + x), which reads both axes of its table, in no cell.
     """
+    read = _reading(axes, ex.free_vars(node))
+    if len(read) > 1 and isinstance(node, (ex.Product, ex.Sum)):
+        children = node.factors if isinstance(node, ex.Product) else node.terms
+        parts = [_exact_at(child, axes, fixed, prec, atoms) for child in children]
+        return _per_axes(axes, read, partial(_combined, node, parts, prec))
+    return _per_axes(axes, read, partial(_evaluated, node, axes, fixed, read, prec, atoms))
 
-    def __init__(self, axes, fixed, prec, atoms):
-        self.axes, self.fixed, self.prec, self.atoms = axes, fixed, prec, atoms
-        self.owner = {name: a for a, (names, _) in enumerate(axes) for name in names}
-        self.lengths = [len(values) for _, values in axes]
 
-    def split(self, node):
-        read = sorted({self.owner[name] for name in ex.free_vars(node) if name in self.owner})
-        axes, fixed, prec, atoms = self.axes, self.fixed, self.prec, self.atoms
-        if len(read) > 1 and isinstance(node, (ex.Product, ex.Sum)):
-            children = node.factors if isinstance(node, ex.Product) else node.terms
-            parts = [self.split(child) for child in children]
-            return lambda index: precision.combine(node, [part(index) for part in parts], prec)
+def _combined(node, parts, prec, index):
+    return precision.combine(node, [part(index) for part in parts], prec)
 
-        def evaluate(index):
-            point = dict(fixed)
-            for a in read:
-                names, values = axes[a]
-                point.update(dict.fromkeys(names, values[index[a]]))
-            return precision.eval_number(node, point, prec, atoms)
 
-        axis = read[0] if read else None
-        if len(read) > 1 or not any(n > 1 for a, n in enumerate(self.lengths) if a != axis):
-            return evaluate
-        memo = {}
-
-        def memoized(index):
-            key = None if axis is None else index[axis]
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = evaluate(index)
-            return value
-
-        return memoized
+def _evaluated(node, axes, fixed, read, prec, atoms, index):
+    return precision.eval_number(node, _point(axes, fixed, read, index), prec, atoms)
 
 
 class SeriesEvaluator:
@@ -122,7 +137,7 @@ class SeriesEvaluator:
     ``fixed`` binds every other variable; ``at(index)`` is the series at the
     cell whose coordinate on axis a is values[index[a]].  V_k depends only
     on the spatial point (the cell minus t), and t^k only on t, so each is
-    computed once per distinct value:
+    computed per index on the axes it reads and kept by ``_per_axes``:
 
     - per spatial point, the spectra that ``eval_number`` returns exactly
       (the atom-free ones) as integer numerators over one common
@@ -138,40 +153,25 @@ class SeriesEvaluator:
     ``prec``.  So every result is bit-identical to evaluating its point
     alone (``tests/oracles.py::lone_series_value``).  Atom values are
     memoized per (kind, argument, prec) in ``atoms``, which the caller
-    shares with the exact solution.
-
-    Spectrum values are kept only when an axis of t alone varies, so that
-    it revisits every spatial point, and t values only when an axis without
-    t varies; a memo whose key never recurs would only hold memory.  The
-    memos are keyed by axis index and live as long as the evaluator: one
-    grid, one figure or one ``analysis.evaluate_series`` call.
+    shares with the exact solution.  The memos live as long as the
+    evaluator: one grid, one figure or one ``analysis.evaluate_series``
+    call.
     """
 
     def __init__(self, sol: SeriesSolution, axes, fixed, prec: int):
         fixed = dict(fixed)
-        self.spectra = sol.spectra
+        timed = _reading(axes, {TIME_VAR})
+        if not timed and TIME_VAR not in fixed:
+            raise UnboundVariableError("the evaluation point must bind t")
         self.prec = prec
         self.atoms = {}
-        self._terms = {}
-        self._powers = {}
-        self._axes = axes
-        self._fixed = {name: value for name, value in fixed.items() if name != TIME_VAR}
         exact = [is_exact(v) for v in sol.spectra]
-        self._exact = [k for k, flag in enumerate(exact) if flag]
-        self._rounded = [k for k, flag in enumerate(exact) if not flag]
-        self._top = max(self._exact, default=0)
-        self._t_axis = next((a for a, (names, _) in enumerate(axes) if TIME_VAR in names), None)
-        if self._t_axis is None:
-            if TIME_VAR not in fixed:
-                raise UnboundVariableError("the evaluation point must bind t")
-            self._t = ex.as_fraction(fixed[TIME_VAR])
-        self._spatial_axes = [a for a, (names, _) in enumerate(axes) if set(names) - {TIME_VAR}]
-        # The index on the one spatial axis, or a tuple of those on several;
-        # no tuple is built from an iterator per cell (see cells).
-        self._spatial_key = operator.itemgetter(*self._spatial_axes) if self._spatial_axes else _no_key
-        varying = [set(names) for names, values in axes if len(values) > 1]
-        self._keep_terms = {TIME_VAR} in varying
-        self._keep_powers = any(TIME_VAR not in names for names in varying)
+        exact_ks = [k for k, flag in enumerate(exact) if flag]
+        rounded_ks = [k for k, flag in enumerate(exact) if not flag]
+        spatial = [a for a, (names, _) in enumerate(axes) if set(names) - {TIME_VAR}]
+        spectra = partial(_spectra_at, sol.spectra, exact_ks, rounded_ks, axes, fixed, spatial, prec, self.atoms)
+        self._terms_at = _per_axes(axes, spatial, spectra)
+        self._powers_at = _per_axes(axes, timed, partial(_t_powers, exact_ks, rounded_ks, axes, fixed, timed, prec))
 
     def at(self, index):
         numerators, denominator, rounded = self._terms_at(index)
@@ -184,39 +184,22 @@ class SeriesEvaluator:
         exact_part = Fraction(sum(map(operator.mul, numerators, weights)), denominator * scale)
         return mpf_add(rounded_part, to_raw(exact_part, prec), prec, "n")
 
-    def _terms_at(self, index):
-        """(exact V_k numerators, their common denominator L, rounded V_k
-        as raw mpf values) at the cell's spatial point."""
-        key = self._spatial_key(index)
-        terms = self._terms.get(key)
-        if terms is None:
-            point = dict(self._fixed)
-            for a in self._spatial_axes:
-                names, values = self._axes[a]
-                point.update((name, values[index[a]]) for name in names if name != TIME_VAR)
-            values = [precision.eval_number(v, point, self.prec, self.atoms) for v in self.spectra]
-            exact = [values[k] for k in self._exact]
-            denominator = math.lcm(*(value.denominator for value in exact))
-            numerators = [value.numerator * (denominator // value.denominator) for value in exact]
-            terms = (numerators, denominator, [values[k] for k in self._rounded])
-            if self._keep_terms:
-                self._terms[key] = terms
-        return terms
 
-    def _powers_at(self, index):
-        """(the exact spectra's weights p^k * q^(n-k), q^n, the rounded
-        spectra's t^k as raw mpf values) at the cell's t = p/q."""
-        key = None if self._t_axis is None else index[self._t_axis]
-        powers = self._powers.get(key)
-        if powers is None:
-            t = self._t if key is None else self._axes[self._t_axis][1][key]
-            p, q, n = t.numerator, t.denominator, self._top
-            rounded = [to_raw(t**k, self.prec) for k in self._rounded]
-            powers = ([p**k * q ** (n - k) for k in self._exact], q**n, rounded)
-            if self._keep_powers:
-                self._powers[key] = powers
-        return powers
+def _spectra_at(spectra, exact_ks, rounded_ks, axes, fixed, read, prec, atoms, index):
+    """(exact V_k numerators, their common denominator L, rounded V_k as raw
+    mpf values) at the cell's spatial point."""
+    point = _point(axes, fixed, read, index)
+    values = [precision.eval_number(v, point, prec, atoms) for v in spectra]
+    exact = [values[k] for k in exact_ks]
+    denominator = math.lcm(*(value.denominator for value in exact))
+    numerators = [value.numerator * (denominator // value.denominator) for value in exact]
+    return numerators, denominator, [values[k] for k in rounded_ks]
 
 
-def _no_key(index):
-    return None
+def _t_powers(exact_ks, rounded_ks, axes, fixed, read, prec, index):
+    """(the exact spectra's weights p^k * q^(n-k), q^n, the rounded
+    spectra's t^k as raw mpf values) at the cell's t = p/q."""
+    t = ex.as_fraction(_point(axes, fixed, read, index)[TIME_VAR])
+    p, q, n = t.numerator, t.denominator, max(exact_ks, default=0)
+    rounded = [to_raw(t**k, prec) for k in rounded_ks]
+    return [p**k * q ** (n - k) for k in exact_ks], q**n, rounded

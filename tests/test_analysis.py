@@ -1,8 +1,10 @@
 """Series evaluation, error grids, residual checks, rendering, figure data."""
 
+import gc
 import itertools
 import random
 import re
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -234,28 +236,79 @@ class TestErrorGrid:
     def test_values_are_kept_only_where_they_recur(self, monkeypatch, solved):
         """With t fixed no spatial point comes back, and with only t swept no
         t comes back, so those values are not kept: such a memo would grow
-        with the sweep and serve nothing."""
+        with the sweep and serve nothing.  A value is kept when it is
+        computed behind a memo, so the count kept is the number of spectrum
+        (or t-power) computations when ``_per_axes`` memoized them, and 0
+        when it returned the computation itself."""
         spec, sol = solved(ModelId.EX1, 8)
-        evaluators = []
-        original = rdtm.separable.SeriesEvaluator
+        original = rdtm.separable._per_axes
+        names = {rdtm.separable._spectra_at: "spectra", rdtm.separable._t_powers: "powers"}
+        kept = {}
 
-        def recording(*args):
-            evaluators.append(original(*args))
-            return evaluators[-1]
+        def recording(axes, read, compute):
+            name = names.get(getattr(compute, "func", None))
+            if name is None:
+                return original(axes, read, compute)
+            calls = []
 
-        monkeypatch.setattr(rdtm.separable, "SeriesEvaluator", recording)
+            def counting(index):
+                calls.append(index)
+                return compute(index)
+
+            function = original(axes, read, counting)
+            kept[name] = calls if function is not counting else []
+            return function
+
+        monkeypatch.setattr(rdtm.separable, "_per_axes", recording)
         tenths = (F(1, 10), 1, F(1, 10))
         cases = [
             ({"t": F(1, 2)}, [("x", *tenths), ("y", *tenths)], (0, 1)),
             ({"x": F(1, 2), "y": F(1, 3)}, [("t", *tenths)], (1, 0)),
             ({"y": F(1, 2)}, [("x", *tenths), ("t", *tenths)], (10, 10)),
         ]
-        for fixed, sweeps, kept in cases:
+        for fixed, sweeps, want in cases:
             export_figure_data(sol, spec.exact, fixed, sweeps, CTX)
-            assert (len(evaluators[-1]._terms), len(evaluators[-1]._powers)) == kept, sweeps
+            assert (len(kept["spectra"]), len(kept["powers"])) == want, sweeps
         tenths = rational_range(*tenths)
         absolute_error_grid(sol, spec.exact, Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y")), CTX)
-        assert (len(evaluators[-1]._terms), len(evaluators[-1]._powers)) == (10, 10)
+        assert (len(kept["spectra"]), len(kept["powers"])) == (10, 10)
+
+    def test_the_memos_are_freed_by_reference_counting(self, monkeypatch, solved):
+        """The evaluator and every function that ``_per_axes`` returns are in
+        no reference cycle, so with the cycle collector off they and their
+        memos are freed when a grid returns and when a figure's rows run
+        out: a 10x10 table, and a sweep of x, y and t that keeps exp(x*y)
+        per (x, y)."""
+        spec, sol = solved(ModelId.EX1, 8)
+        refs = []
+        evaluator_init = rdtm.separable.SeriesEvaluator.__init__
+        per_axes = rdtm.separable._per_axes
+
+        def recording_init(self, *args):
+            evaluator_init(self, *args)
+            refs.append(weakref.ref(self))
+
+        def recording_per_axes(*args):
+            function = per_axes(*args)
+            refs.append(weakref.ref(function))
+            return function
+
+        monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "__init__", recording_init)
+        monkeypatch.setattr(rdtm.separable, "_per_axes", recording_per_axes)
+        tenths = rational_range(F(1, 10), 1, F(1, 10))
+        fifths = (F(1, 5), 1, F(1, 5))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            absolute_error_grid(sol, spec.exact, Grid2D(GridAxis("t", tenths), GridAxis("x", tenths), ("x", "y")), CTX)
+            assert refs and all(ref() is None for ref in refs)
+            refs.clear()
+            _, rows = figure_rows(sol, spec.exact, {}, [("x", *fifths), ("y", *fifths), ("t", *fifths)], CTX)
+            assert sum(1 for _ in rows) == 125
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_floor_error_names_the_same_cell_on_a_dense_grid(self, solved):
         """ex3 at order 20 on a dense 40x40 grid at 50 digits: the first cell,
@@ -416,6 +469,27 @@ class TestSeparableEvaluation:
         spec, sol = solved(ModelId.EX1, 6)
         sweeps = [("x", 0, 1, F(1, 10)), ("t", 0, 1, F(1, 10))]
         assert_figure_is_bit_identical(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
+
+    @pytest.mark.parametrize("slice_bindings, swept", [
+        ({}, ("x", "y", "t")),
+        ({"t": F(1, 2)}, ("x", "y")),
+    ], ids=["x-y-t", "t-in-slice"])
+    def test_ex1_sweeps_of_x_and_y(self, solved, slice_bindings, swept):
+        """Swept with x and y, exp(x*y) reads two axes: it is kept per
+        (x, y) when t varies too, and evaluated in every cell when t is in
+        the slice."""
+        spec, sol = solved(ModelId.EX1, 8)
+        sweeps = [(name, F(1, 5), 1, F(1, 5)) for name in swept]
+        assert_figure_is_bit_identical(sol, spec.exact, slice_bindings, sweeps, CTX)
+
+    def test_column_tying_t_to_y(self, solved):
+        """``--grid "x=1/10:1/2:1/10;t,y=1/10:1/2:1/10"``: the column binds
+        t and a spatial variable, so the spectra and the t-powers read the
+        same axis."""
+        spec, sol = solved(ModelId.EX1, 8)
+        values = rational_range(F(1, 10), F(1, 2), F(1, 10))
+        grid = Grid2D(GridAxis("x", values), GridAxis("t", values), ("t", "y"))
+        assert_table_is_bit_identical(sol, spec.exact, grid, CTX)
 
     def test_spectra_mixing_exact_and_rounded_values(self):
         spec = parse_spec_file(MIXED_PDE)

@@ -136,6 +136,29 @@ def test_check_reports_failure_for_wrong_exact(tmp_path, capsys):
     assert "FAIL" in out
 
 
+PARITY_TEXT = """pde "parity" {
+  vars: x;
+  equation: D(u,t,2) = D(u,x,2);
+  init: %s;
+  init_t: %s;
+  exact: -sin(x - t);
+}
+"""
+
+
+def test_sin_and_cos_of_a_negated_argument_are_one_value(tmp_path, capsys):
+    """sin(-x) and -sin(x) are one canonical tree, so the spectra match the
+    closed form written with sin(x - t), and a sum of equal terms cancels."""
+    path = tmp_path / "parity.pde"
+    path.write_text(PARITY_TEXT % ("sin(-x)", "cos(-x)"))
+    code, out, _ = run(capsys, "check", str(path), "--order", "6")
+    assert code == 0, out
+    path.write_text(PARITY_TEXT % ("sin(x) + sin(-x) + cos(x) - cos(-x)", "0"))
+    code, out, _ = run(capsys, "solve", str(path), "--order", "3")
+    assert code == 0
+    assert out.splitlines() == ["V_0 = 0", "V_1 = 0", "V_2 = 0", "series = 0"]
+
+
 FACTORED_TEXT = """pde "factored" {
   vars: x;
   equation: D(u,t,2) = -u;

@@ -27,6 +27,8 @@ from rdtm.expr import (
     to_text,
 )
 
+from rdtm.parsing import parse_expr
+
 from oracles import collect_powers
 
 x, y, t = Var("x"), Var("y"), Var("t")
@@ -78,6 +80,23 @@ class TestSimplify:
         assert simplify(Atom("sin", ZERO)) == ZERO
         assert simplify(Atom("cos", ZERO)) == ONE
         assert simplify(Atom("exp", Sum((x, Product((rational(-1), x)))))) == ONE
+
+    @pytest.mark.parametrize("text, want", [
+        ("sin(-x)", "-sin(x)"),
+        ("cos(-x)", "cos(x)"),
+        ("2*sin(-x)", "-2*sin(x)"),
+        ("sin(-x)^3*y", "-y*sin(x)^3"),
+        ("cos(-x-y)*sin(-2*x)", "-sin(2*x)*cos(x + y)"),
+        ("sin(-1)", "-sin(1)"),
+        ("exp(-x)", "exp(-x)"),
+        # the first term in canonical order chooses, and 1 comes before x
+        ("sin(1 - x)", "sin(1 - x)"),
+    ])
+    def test_sin_and_cos_take_an_argument_whose_first_term_is_positive(self, text, want):
+        assert to_text(simplify(parse_expr(text, ["x", "y"]))) == want
+
+    def test_parity_cancels_equal_sin_and_cos_terms(self):
+        assert simplify(parse_expr("sin(x) + sin(-x) + cos(x) - cos(-x)", ["x"])) == ZERO
 
     def test_products_of_sums_not_distributed(self):
         e = simplify(Product((Power(x, 2), Sum((x, ONE)))))

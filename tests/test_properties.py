@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import mpmath
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from rdtm import expr as ex
 from rdtm.engine import cauchy_product
@@ -67,6 +67,16 @@ def rearrange(e, rng):
     if isinstance(e, ex.Atom):
         return ex.Atom(e.kind, rearrange(e.argument, rng))
     return e
+
+
+@seed(20613)
+@given(poly_exprs)
+def test_sin_is_odd_and_cos_is_even(a):
+    """For a polynomial argument a, sin(-a) and -sin(a) simplify to one
+    tree, and so do cos(-a) and cos(a)."""
+    minus_a = _product([ex.rational(-1), a])
+    assert ex.simplify(ex.Atom("sin", minus_a)) == ex.simplify(_product([ex.rational(-1), ex.Atom("sin", a)]))
+    assert ex.simplify(ex.Atom("cos", minus_a)) == ex.simplify(ex.Atom("cos", a))
 
 
 @given(full_exprs, st.randoms(use_true_random=False))

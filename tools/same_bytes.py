@@ -25,7 +25,10 @@ three figures, which are written row by row: ex1 on a 101x101 sweep at 6
 significant digits, ex3 on an empty sweep (the header alone), and ex1
 swept in x alone with y and t in the slice; and, at 2000 digits, where
 libelefun's exp, sin and cos take their high-precision paths, an ex1 table
-on a 2x2 grid and an ex3 figure sliced at x = 1/3 and swept in t.
+on a 2x2 grid and an ex3 figure sliced at x = 1/3 and swept in t; and the
+shapes in which the cell kernel keeps values differently: ex1 swept in x, y
+and t together (exp(x*y) kept per (x, y)), ex1 swept in x and y with t in
+the slice, and an ex1 table whose column ties t to y.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ EXTRA_COMMANDS = [
     ("figure", "ex1", "--slice", "y=1/2;t=1/2", "--sweep", "x=0:1:1/2"),
     ("table", "ex1", "--order", "8", "--precision", "2000", "--grid", "t=1/10:1/5:1/10;x,y=1/2:1:1/2"),
     ("figure", "ex3", "--order", "12", "--precision", "2000", "--slice", "x=1/3", "--sweep", "t=1/7:1:2/7"),
+    ("figure", "ex1", "--sweep", "x=1/5:1:1/5", "--sweep", "y=1/5:1:1/5", "--sweep", "t=1/5:1:1/5"),
+    ("figure", "ex1", "--slice", "t=1/2", "--sweep", "x=1/5:1:1/5", "--sweep", "y=1/5:1:1/5"),
+    ("table", "ex1", "--grid", "x=1/10:1/2:1/10;t,y=1/10:1/2:1/10"),
 ]
 
 
