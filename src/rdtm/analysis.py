@@ -5,7 +5,8 @@ only rounding in a reported error is the final transcendental evaluation at
 the working precision.  Cells are independent pure computations; assembling
 them in any order gives the same table.
 
-Errors are computed, tested against the precision floor and rendered on raw
+Every cell's series, exact value and error come from ``separable.cells``;
+here the errors are tested against the precision floor and rendered, on raw
 ``libmp`` values, so a command that prints them never imports the
 ``mpmath`` package; ``ErrorTable`` and ``FigureData`` keep those raw values
 and give them to library callers as ``mpf``.
@@ -22,7 +23,7 @@ from .engine import SeriesSolution
 from .errors import GridError, PrecisionInsufficientError
 from .packed import Poly
 from .parsing import MAX_GRID_POINTS, TIME_VAR
-from .precision import PrecisionContext, load_libmp, mpmath
+from .precision import REPORT_PREC, PrecisionContext, load_libmp, mpmath
 from .record import Record
 
 __all__ = [
@@ -45,9 +46,6 @@ __all__ = [
 ]
 
 MAX_SIG_DIGITS = 6
-# Errors are formed, and every printed value rounded, to nearest at this many
-# bits (mpmath's default precision), whatever the working precision.
-REPORT_PREC = 53
 
 
 def _range_bounds(start, stop, step) -> tuple:
@@ -236,7 +234,7 @@ def evaluate_series(sol: SeriesSolution, point, ctx: PrecisionContext = Precisio
     # The cell kernel loads at the first evaluation; solve and check never need it.
     from . import separable
 
-    return mpmath.mp.make_mpf(separable.SeriesEvaluator(sol, (), point, ctx.prec).at(()))
+    return mpmath.mp.make_mpf(separable.series_at(sol, (), point, ctx.prec, {})(()))
 
 
 def absolute_error_grid(
@@ -261,8 +259,7 @@ def absolute_error_grid(
     floor = libmp.mpf_pow_int(libmp.from_int(10), 4 - ctx.decimal_digits, REPORT_PREC, "n")
     axes = [((grid.row.name,), grid.row.values), (grid.col_vars, grid.col.values)]
     errors = []
-    for (tv, cv), series_value, exact_value in separable.cells(sol, exact, axes, {}, ctx):
-        err = _abs_error(series_value, exact_value)
+    for (tv, cv), _, _, err in separable.cells(sol, exact, axes, {}, ctx):
         if err != libmp.fzero and libmp.mpf_lt(err, floor):
             raise PrecisionInsufficientError(
                 f"cell ({fraction_str(tv)}, {fraction_str(cv)}): error is below "
@@ -273,12 +270,6 @@ def absolute_error_grid(
     width = len(grid.col.values)
     rows = tuple(tuple(errors[i:i + width]) for i in range(0, len(errors), width))
     return ErrorTable(grid, rows, sol.order, ctx.decimal_digits)
-
-
-def _abs_error(series_value, exact_value):
-    """|series - exact| of two raw values, rounded to REPORT_PREC bits, raw."""
-    libmp = load_libmp()
-    return libmp.mpf_abs(libmp.mpf_sub(series_value, exact_value, REPORT_PREC, "n"))
 
 
 def residual_order_check(spec, sol: SeriesSolution) -> int:
@@ -552,10 +543,8 @@ def figure_rows(
     from . import separable
 
     axes = [((name,), rational_range(start, stop, step)) for name, start, stop, step in sweep_specs]
-    rows = (
-        (*coords, series_value, exact_value, _abs_error(series_value, exact_value))
-        for coords, series_value, exact_value in separable.cells(sol, exact, axes, fixed, ctx)
-    )
+    cells = separable.cells(sol, exact, axes, fixed, ctx)
+    rows = ((*coords, series, value, error) for coords, series, value, error in cells)
     return (*sweep_names, "series", "exact", "abs_error"), rows
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 
 from . import expr as ex
@@ -103,16 +104,25 @@ def _one_variable_each(text, option, arity) -> list:
 def _emit(pieces, out_path):
     """Write the texts of ``pieces`` in turn to the file ``out_path``, or
     to stdout without one.  The file is opened once the first piece is
-    ready, so an error raised before it leaves no file."""
+    ready, so an error raised before it leaves no file.  A reader that
+    closes stdout early, as ``head`` does, is not an error: the pieces left
+    are not made, and stdout is pointed at the null device, so that the
+    interpreter's flush at exit does not fail either."""
     pieces = iter(pieces)
     first = next(pieces, "")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(first)
             handle.writelines(pieces)
-    else:
+        return
+    try:
         sys.stdout.write(first)
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_json(payload, out_path):

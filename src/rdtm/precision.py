@@ -11,7 +11,8 @@ function that reads it).  Values stay raw ``libmp`` tuples, and an ``mpf``
 is made only for the public result of ``eval_precise``, the one door for a
 tree that is not canonical.  ``combine``, the rule for a product or sum of
 exact and rounded values, and ``to_raw``, the one Fraction-to-raw
-conversion, serve the cell kernel ``separable`` as well.  Results are
+conversion, serve the cell kernel ``separable`` as well, which forms each
+cell's error at ``REPORT_PREC`` bits.  Results are
 deterministic for fixed inputs and precision, so a caller that evaluates
 many points may pass one atom memo to every ``eval_number`` call and get
 the same bits.
@@ -47,11 +48,15 @@ __all__ = [
     "fraction_to_mpf",
     "is_exact",
     "GUARD_DIGITS",
+    "REPORT_PREC",
     "MIN_DECIMAL_DIGITS",
     "MAX_DECIMAL_DIGITS",
 ]
 
 GUARD_DIGITS = 10
+# Errors are formed, and every printed value rounded, to nearest at this many
+# bits (mpmath's default precision), whatever the working precision.
+REPORT_PREC = 53
 MIN_DECIMAL_DIGITS = 15
 # Evaluation time grows faster than the digit count: ex1's reference table
 # takes 0.19 s of CPU at 1000 digits, 0.79 s at 5000 and 2.8 s at 10000, and

@@ -1,16 +1,17 @@
 """The cell kernel of error tables and figure data.
 
-``cells`` yields the series value and the exact value at every cell of a
-cartesian grid.  Both are separable, and one rule, ``_per_axes``, decides
-what is kept: a value that reads only some axes is computed once per
-distinct index on those axes, and kept only when an axis it does not read
-varies, so that its key recurs.  ``SeriesEvaluator`` so evaluates the
-spectra per spatial point and the powers of t per t, and ``_exact_at``
-each subtree of the exact solution per index on the axes it reads.  Every
-value is bit-identical to evaluating its point alone.  The kernel works on
-raw ``libmp`` values at the one precision in bits that its caller passes,
-with the ``libmp`` that ``precision.load_libmp`` loads, and never touches
-mpmath's global context.
+``cells`` is the one place where a cell is computed: it yields the series
+value, the exact value and their absolute error at every cell of a
+cartesian grid.  The two values are functions of a cell's axis indices,
+``series_at`` and ``_exact_at``, and one rule, ``_per_axes``, decides what
+is kept: a value that reads only some axes is computed once per distinct
+index on those axes, and kept only when an axis it does not read varies,
+so that its key recurs: the spectra per spatial point, the powers of t
+per t, each subtree of the exact solution per index on the axes it reads.
+Every value is bit-identical to evaluating its point alone.  The kernel
+works on raw ``libmp`` values at the one precision in bits that its caller
+passes, with the ``libmp`` that ``precision.load_libmp`` loads, and never
+touches mpmath's global context.
 
 Only ``table``, ``figure`` and ``demo`` evaluate cells, so ``analysis``
 imports this module at the first evaluation, and the other commands do
@@ -32,32 +33,40 @@ from . import precision
 from .engine import SeriesSolution
 from .errors import UnboundVariableError
 from .parsing import TIME_VAR
-from .precision import PrecisionContext, is_exact, load_libmp, to_raw
+from .precision import REPORT_PREC, PrecisionContext, is_exact, load_libmp, to_raw
 
-__all__ = ["SeriesEvaluator", "cells"]
+__all__ = ["cells", "series_at"]
 
 libmp = load_libmp()
 
 
 def cells(sol: SeriesSolution, exact: ex.Expr, axes, fixed, ctx: PrecisionContext):
-    """(coordinates, series value, exact value) at every cell of the
-    cartesian product of ``axes``, row-major.  ``axes`` is a sequence of
-    (variables, values): a coordinate binds every variable of its axis, and
-    ``fixed`` binds the others.  One simplified ``exact``, split once by
-    ``_exact_at``, and one SeriesEvaluator serve every cell.  Both values
-    are raw mpf tuples at ``ctx.prec`` bits, the series as
-    ``analysis.evaluate_series`` and the exact value as
-    ``precision.eval_precise`` compute them at the cell's point."""
+    """(coordinates, series value, exact value, absolute error) at every
+    cell of the cartesian product of ``axes``, row-major.  ``axes`` is a
+    sequence of (variables, values): a coordinate binds every variable of
+    its axis, and ``fixed`` binds the others.  One ``series_at`` function
+    and one simplified ``exact``, split once by ``_exact_at``, serve every
+    cell and share one atom memo.  The values are raw mpf tuples at
+    ``ctx.prec`` bits, the series as ``analysis.evaluate_series`` and the
+    exact value as ``precision.eval_precise`` compute them at the cell's
+    point; the error is |series - exact| rounded to REPORT_PREC bits."""
     prec = ctx.prec
-    evaluator = SeriesEvaluator(sol, axes, fixed, prec)
-    exact_at = _exact_at(ex.simplify(exact), axes, fixed, prec, evaluator.atoms)
+    atoms = {}
+    series = series_at(sol, axes, fixed, prec, atoms)
+    exact_at = _exact_at(ex.simplify(exact), axes, fixed, prec, atoms)
     values = [values for _, values in axes]
     indices = [range(len(v)) for v in values]
     # A tuple built from an iterator is allocated long and shrunk, and once
     # freed it lands in the interpreter's free list of short tuples; one per
     # cell fills that list and raised peak memory on dense grids.
     for coords, index in zip(itertools.product(*values), itertools.product(*indices)):
-        yield coords, evaluator.at(index), to_raw(exact_at(index), prec)
+        series_value, exact_value = series(index), to_raw(exact_at(index), prec)
+        yield coords, series_value, exact_value, _abs_error(series_value, exact_value)
+
+
+def _abs_error(series_value, exact_value):
+    """|series - exact| of two raw values, rounded to REPORT_PREC bits, raw."""
+    return libmp.mpf_abs(libmp.mpf_sub(series_value, exact_value, REPORT_PREC, "n"))
 
 
 def _per_axes(axes, read, compute):
@@ -129,15 +138,14 @@ def _evaluated(node, axes, fixed, read, prec, atoms, index):
     return precision.eval_number(node, _point(axes, fixed, read, index), prec, atoms)
 
 
-class SeriesEvaluator:
-    """Truncated series sum(V_k(point) * t^k) of one solution at the cells
-    of a cartesian grid, as raw mpf values at ``prec`` bits.
+def series_at(sol: SeriesSolution, axes, fixed, prec: int, atoms):
+    """The truncated series sum(V_k(point) * t^k) of one solution as a
+    function of a cell's axis indices (``axes`` and ``fixed`` as in
+    ``cells``), which returns a raw mpf at ``prec`` bits.
 
-    ``axes`` is a sequence of (variables, values), as in ``cells``, and
-    ``fixed`` binds every other variable; ``at(index)`` is the series at the
-    cell whose coordinate on axis a is values[index[a]].  V_k depends only
-    on the spatial point (the cell minus t), and t^k only on t, so each is
-    computed per index on the axes it reads and kept by ``_per_axes``:
+    V_k depends only on the spatial point (the cell minus t), and t^k only
+    on t, so each is computed per index on the axes it reads and kept by
+    ``_per_axes``:
 
     - per spatial point, the spectra that ``eval_number`` returns exactly
       (the atom-free ones) as integer numerators over one common
@@ -152,37 +160,32 @@ class SeriesEvaluator:
     the libmp calls that mpf arithmetic makes, rounded to nearest at
     ``prec``.  So every result is bit-identical to evaluating its point
     alone (``tests/oracles.py::lone_series_value``).  Atom values are
-    memoized per (kind, argument, prec) in ``atoms``, which the caller
-    shares with the exact solution.  The memos live as long as the
-    evaluator: one grid, one figure or one ``analysis.evaluate_series``
-    call.
+    memoized per (kind, argument, prec) in ``atoms``, which ``cells``
+    shares with the exact solution.  The memos live as long as the function
+    returned: one grid, one figure or one ``analysis.evaluate_series`` call.
     """
+    fixed = dict(fixed)
+    timed = _reading(axes, {TIME_VAR})
+    if not timed and TIME_VAR not in fixed:
+        raise UnboundVariableError("the evaluation point must bind t")
+    exact = [is_exact(v) for v in sol.spectra]
+    exact_ks = [k for k, flag in enumerate(exact) if flag]
+    rounded_ks = [k for k, flag in enumerate(exact) if not flag]
+    spatial = [a for a, (names, _) in enumerate(axes) if set(names) - {TIME_VAR}]
+    spectra = partial(_spectra_at, sol.spectra, exact_ks, rounded_ks, axes, fixed, spatial, prec, atoms)
+    powers = partial(_t_powers, exact_ks, rounded_ks, axes, fixed, timed, prec)
+    return partial(_series, _per_axes(axes, spatial, spectra), _per_axes(axes, timed, powers), prec)
 
-    def __init__(self, sol: SeriesSolution, axes, fixed, prec: int):
-        fixed = dict(fixed)
-        timed = _reading(axes, {TIME_VAR})
-        if not timed and TIME_VAR not in fixed:
-            raise UnboundVariableError("the evaluation point must bind t")
-        self.prec = prec
-        self.atoms = {}
-        exact = [is_exact(v) for v in sol.spectra]
-        exact_ks = [k for k, flag in enumerate(exact) if flag]
-        rounded_ks = [k for k, flag in enumerate(exact) if not flag]
-        spatial = [a for a, (names, _) in enumerate(axes) if set(names) - {TIME_VAR}]
-        spectra = partial(_spectra_at, sol.spectra, exact_ks, rounded_ks, axes, fixed, spatial, prec, self.atoms)
-        self._terms_at = _per_axes(axes, spatial, spectra)
-        self._powers_at = _per_axes(axes, timed, partial(_t_powers, exact_ks, rounded_ks, axes, fixed, timed, prec))
 
-    def at(self, index):
-        numerators, denominator, rounded = self._terms_at(index)
-        weights, scale, powers = self._powers_at(index)
-        prec = self.prec
-        mpf_add, mpf_mul = libmp.mpf_add, libmp.mpf_mul
-        rounded_part = libmp.fzero
-        for value, power in zip(rounded, powers):
-            rounded_part = mpf_add(rounded_part, mpf_mul(value, power, prec, "n"), prec, "n")
-        exact_part = Fraction(sum(map(operator.mul, numerators, weights)), denominator * scale)
-        return mpf_add(rounded_part, to_raw(exact_part, prec), prec, "n")
+def _series(terms_at, powers_at, prec, index):
+    numerators, denominator, rounded = terms_at(index)
+    weights, scale, powers = powers_at(index)
+    mpf_add, mpf_mul = libmp.mpf_add, libmp.mpf_mul
+    rounded_part = libmp.fzero
+    for value, power in zip(rounded, powers):
+        rounded_part = mpf_add(rounded_part, mpf_mul(value, power, prec, "n"), prec, "n")
+    exact_part = Fraction(sum(map(operator.mul, numerators, weights)), denominator * scale)
+    return mpf_add(rounded_part, to_raw(exact_part, prec), prec, "n")
 
 
 def _spectra_at(spectra, exact_ks, rounded_ks, axes, fixed, read, prec, atoms, index):

@@ -274,27 +274,24 @@ class TestErrorGrid:
         assert (len(kept["spectra"]), len(kept["powers"])) == (10, 10)
 
     def test_the_memos_are_freed_by_reference_counting(self, monkeypatch, solved):
-        """The evaluator and every function that ``_per_axes`` returns are in
-        no reference cycle, so with the cycle collector off they and their
-        memos are freed when a grid returns and when a figure's rows run
-        out: a 10x10 table, and a sweep of x, y and t that keeps exp(x*y)
-        per (x, y)."""
+        """The series function and every function that ``_per_axes``
+        returns are in no reference cycle, so with the cycle collector off
+        they and their memos are freed when a grid returns and when a
+        figure's rows run out: a 10x10 table, and a sweep of x, y and t that
+        keeps exp(x*y) per (x, y)."""
         spec, sol = solved(ModelId.EX1, 8)
         refs = []
-        evaluator_init = rdtm.separable.SeriesEvaluator.__init__
-        per_axes = rdtm.separable._per_axes
 
-        def recording_init(self, *args):
-            evaluator_init(self, *args)
-            refs.append(weakref.ref(self))
+        def recording(make):
+            def made(*args):
+                function = make(*args)
+                refs.append(weakref.ref(function))
+                return function
 
-        def recording_per_axes(*args):
-            function = per_axes(*args)
-            refs.append(weakref.ref(function))
-            return function
+            return made
 
-        monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "__init__", recording_init)
-        monkeypatch.setattr(rdtm.separable, "_per_axes", recording_per_axes)
+        monkeypatch.setattr(rdtm.separable, "series_at", recording(rdtm.separable.series_at))
+        monkeypatch.setattr(rdtm.separable, "_per_axes", recording(rdtm.separable._per_axes))
         tenths = rational_range(F(1, 10), 1, F(1, 10))
         fifths = (F(1, 5), 1, F(1, 5))
         enabled = gc.isenabled()
@@ -1088,13 +1085,13 @@ class TestFigureData:
         spec, sol = solved(ModelId.EX1, 4)
         sweeps = [("x", 0, 1, F(1, 2)), ("t", 0, 1, F(1, 3))]
         calls = []
-        original = rdtm.separable.SeriesEvaluator.at
+        original = rdtm.separable._series
 
-        def counting(self, index):
-            calls.append(index)
-            return original(self, index)
+        def counting(*args):
+            calls.append(args[-1])
+            return original(*args)
 
-        monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "at", counting)
+        monkeypatch.setattr(rdtm.separable, "_series", counting)
         columns, rows = figure_rows(sol, spec.exact, {"y": F(1, 2)}, sweeps, CTX)
         assert calls == []
         first = next(rows)

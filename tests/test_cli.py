@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -778,10 +780,10 @@ def test_figure_csv_is_that_of_the_figure_data(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
 def test_a_figure_whose_first_cell_fails_writes_nothing(monkeypatch, tmp_path, capsys, to_file):
-    def fail(self, index):
+    def fail(*args):
         raise PrecisionInsufficientError("the first cell failed")
 
-    monkeypatch.setattr(rdtm.separable.SeriesEvaluator, "at", fail)
+    monkeypatch.setattr(rdtm.separable, "_series", fail)
     target = tmp_path / "figure.csv"
     argv = ("figure", "ex3", "--order", "4", "--slice", "x=1/2", "--sweep", "t=0:1:1/2")
     argv += ("--out", str(target)) if to_file else ()
@@ -798,6 +800,25 @@ def test_an_empty_figure_sweep_prints_the_header_alone(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == header
 
 
+@pytest.mark.parametrize("argv, first_line", [
+    (("figure", "ex1", "--order", "4", "--slice", "y=1/2", "--sweep", "x=1/101:1:1/101", "--sweep", "t=1/101:1:1/101"),
+     b"x,t,series,exact,abs_error\n"),
+    (("solve", "perfbench/problems/growing.pde", "--order", "18", "--format", "json"), b"{\n"),
+], ids=["figure-csv", "solve-json"])
+def test_a_reader_that_closes_stdout_early_is_not_an_error(argv, first_line):
+    """The reader takes the first line of a real pipe and closes it while
+    rdtm has far more than a pipe's capacity left to write (446 KB and
+    222 KB): rdtm stops writing with nothing on stderr and status 0."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    command = [sys.executable, "-m", "rdtm.cli", *argv]
+    with subprocess.Popen(command, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (first, err, proc.returncode) == (first_line, b"", 0)
+
+
 class _Discard:
     """A stdout that drops its text."""
 
@@ -807,6 +828,9 @@ class _Discard:
     def writelines(self, lines):
         for _ in lines:
             pass
+
+    def flush(self):
+        pass
 
 
 def test_a_figure_memory_does_not_grow_with_its_rows(monkeypatch):
